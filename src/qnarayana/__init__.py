@@ -27,7 +27,6 @@ from .polyarith import (
     ZERO,
     IntPoly,
     RatPoly,
-    arith,
     eval_int,
     exact_div,
     format_poly,
@@ -83,7 +82,6 @@ __all__ = [
     "RAT_ONE",
     "IntPoly",
     "RatPoly",
-    "arith",
     "exact_div",
     "gcd_bezout",
     "eval_int",

@@ -737,3 +737,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"qnarayana: error: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as exc:
+        print(f"qnarayana: error: input too large ({exc!r})", file=sys.stderr)
+        return 1

@@ -10,6 +10,23 @@ checks built on top of this module.
 Values are immutable and normalized: trailing zero coefficients are stripped
 on construction, the zero polynomial is the empty coefficient tuple, and the
 degree of zero is the sentinel ``NEG_INF`` rather than a fake integer.
+
+``IntPoly`` multiplication is dispatched on size.  When both factors have
+more than ``KRONECKER_THRESHOLD`` terms it uses Kronecker substitution: each
+coefficient vector is packed into one big integer as digits of w bits, the
+two integers are multiplied once (CPython's Karatsuba does the quadratic
+work in C), and the product's digits are read back as coefficients.  The
+width is chosen so that 2**(w-1) exceeds max|a| * max|b| * min(len(a),
+len(b)), a bound on every product coefficient; adding 2**(w-1) to each digit
+therefore keeps it in [0, 2**w) with no carry or borrow between digits, so
+the unpacked coefficients are exact for either sign and any size.  Smaller
+products use the schoolbook loop ``mul_schoolbook``, which the tests also
+use as the reference for the fast path.
+
+The public ``IntPoly(...)`` constructor checks that every coefficient is an
+int.  Results of this module's own arithmetic (``+``, ``-``, ``*``,
+``shift``, ``exact_div``) are built by a trusted internal constructor that
+only trims: it may be given only ints produced by that arithmetic.
 """
 
 from __future__ import annotations
@@ -22,12 +39,19 @@ from .errors import BothZero, InvalidParameter, NotDivisible, ParseError
 
 NEG_INF = float("-inf")
 
+# IntPoly.__mul__ uses Kronecker substitution when both factors have more
+# terms than this, and the schoolbook loop otherwise.  Measured on CPython
+# 3.11 (x86-64): Kronecker is slower below 16 terms and faster from 18 on,
+# for coefficients from one digit to 64 bits.
+KRONECKER_THRESHOLD = 17
+
 
 def _trimmed(coeffs):
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    """A list or tuple of coefficients as a tuple without trailing zeros."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return tuple(coeffs[:end]) if end < len(coeffs) else tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -46,7 +70,7 @@ class IntPoly:
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
-        object.__setattr__(self, "coeffs", _trimmed(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", _trimmed([int(c) for c in cs]))
 
     @classmethod
     def monomial(cls, exponent, coefficient=1):
@@ -79,25 +103,21 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _trusted(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return _trusted([-c for c in self.coeffs])
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return IntPoly(out)
+        if min(len(a), len(b)) > KRONECKER_THRESHOLD:
+            return _trusted(_mul_kronecker(a, b))
+        return _trusted(mul_schoolbook(a, b))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -113,7 +133,7 @@ class IntPoly:
             raise InvalidParameter(f"shift must be >= 0, got {n}")
         if not self.coeffs:
             return ZERO
-        return IntPoly((0,) * n + self.coeffs)
+        return _trusted((0,) * n + self.coeffs)
 
     def __str__(self):
         return _render_text(self.coeffs)
@@ -232,20 +252,58 @@ Q = IntPoly((0, 1))
 RAT_ZERO = RatPoly(())
 RAT_ONE = RatPoly((1,))
 
-_ARITH_OPS = {
-    "add": IntPoly.__add__,
-    "sub": IntPoly.__sub__,
-    "mul": IntPoly.__mul__,
-}
+
+def _trusted(coeffs):
+    """IntPoly from a list or tuple of exact ints made by this module's own
+    arithmetic: trims trailing zeros but skips the per-coefficient check
+    and conversion of the public constructor."""
+    poly = object.__new__(IntPoly)
+    object.__setattr__(poly, "coeffs", _trimmed(coeffs))
+    return poly
 
 
-def arith(a, b, op):
-    """Ring operation dispatch by name: op is one of add, sub, mul."""
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise InvalidParameter(f"unknown operation {op!r}; expected one of add, sub, mul") from None
-    return fn(a, b)
+def mul_schoolbook(a, b):
+    """Product of two nonempty coefficient sequences by the quadratic
+    schoolbook loop.  The small-size path of IntPoly.__mul__ and the
+    reference its fast path is tested against."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _pack(coeffs, nbytes):
+    """sum(c * 256**(nbytes*i)) as one int: the nonnegative and negative
+    coefficients are packed as separate digit strings, then subtracted."""
+    value = int.from_bytes(
+        b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in coeffs), "little")
+    if any(c < 0 for c in coeffs):
+        value -= int.from_bytes(
+            b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in coeffs), "little")
+    return value
+
+
+def _mul_kronecker(a, b):
+    """Product of two nonempty coefficient sequences by Kronecker
+    substitution: evaluate both at 2**w, multiply once, read off the digits.
+
+    Each product coefficient is a sum of at most min(len(a), len(b)) terms,
+    so its magnitude is at most ``bound``.  The digit width w (whole bytes)
+    satisfies 2**(w-1) > bound, so adding 2**(w-1) to every digit makes each
+    one lie in [0, 2**w): no digit borrows from or carries into the next,
+    and subtracting the offset again recovers the signed coefficients
+    exactly, whatever their sign or size."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    nbytes = bound.bit_length() // 8 + 1
+    n = len(a) + len(b) - 1
+    half = 1 << (8 * nbytes - 1)
+    offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    digits = (_pack(a, nbytes) * _pack(b, nbytes) + offset).to_bytes(nbytes * n, "little")
+    return [int.from_bytes(digits[i:i + nbytes], "little") - half
+            for i in range(0, nbytes * n, nbytes)]
 
 
 def exact_div(a, b):
@@ -282,7 +340,7 @@ def exact_div(a, b):
             rem[i - db + k] -= step * bc
     if any(rem):
         raise NotDivisible("nonzero remainder", remainder=IntPoly(rem))
-    return IntPoly(quot)
+    return _trusted(quot)
 
 
 def gcd_bezout(a, b):

@@ -348,6 +348,12 @@ class TestCommandLine:
         assert main(["qbinom", "4", "2", "--format", "csv"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_recursion_limit_exits_without_traceback(self, capsys):
+        assert main(["qbinom", "600", "1"]) in (0, 1)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not err or err.startswith("qnarayana: error: ")
+
     def test_invalid_parameter_exits_one(self, capsys):
         assert main(["qcatalan", "0"]) == 1
         assert "error" in capsys.readouterr().err

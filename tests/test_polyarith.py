@@ -2,6 +2,7 @@
 behavior of the polynomial core."""
 
 from fractions import Fraction
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qnarayana.errors import BothZero, InvalidParameter, NotDivisible, ParseError
 from qnarayana.polyarith import (
+    KRONECKER_THRESHOLD,
     NEG_INF,
     ONE,
     Q,
@@ -17,14 +19,15 @@ from qnarayana.polyarith import (
     ZERO,
     IntPoly,
     RatPoly,
-    arith,
     eval_int,
     exact_div,
     format_poly,
     gcd_bezout,
     is_nonneg,
+    mul_schoolbook,
     parse_poly,
 )
+from qnarayana.qobjects import q_binomial
 
 int_polys = st.lists(
     st.integers(min_value=-9, max_value=9), max_size=13
@@ -34,6 +37,24 @@ rat_polys = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=9
 ).map(lambda cs: RatPoly(tuple(cs)))
 nonzero_rat_polys = rat_polys.filter(bool)
+
+# Up to 64 terms, so both sides of KRONECKER_THRESHOLD are reached, with
+# coefficients up to 2**256 in size and zeros at about a third of positions
+# (interior, and trailing before the constructor trims them).
+wide_coeffs = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**256), max_value=2**256),
+)
+wide_int_polys = st.integers(min_value=0, max_value=64).flatmap(
+    lambda n: st.lists(wide_coeffs, min_size=n, max_size=n)
+).map(lambda cs: IntPoly(tuple(cs)))
+
+
+def schoolbook(a, b):
+    if not a or not b:
+        return ZERO
+    return IntPoly(tuple(mul_schoolbook(a.coeffs, b.coeffs)))
 
 
 class TestConstruction:
@@ -67,6 +88,13 @@ class TestConstruction:
         with pytest.raises(TypeError):
             IntPoly((Fraction(1, 2),))
 
+    def test_arithmetic_results_are_canonical(self):
+        assert (IntPoly((1, 1)) * IntPoly((1, -1))).coeffs == (1, 0, -1)
+        a = IntPoly((3, -1, 4, 1, -5))
+        assert (a + (-a)).coeffs == ()
+        assert ZERO.coeffs == ()
+        assert (IntPoly((1, 2, 3)) + IntPoly((0, 0, -3))).coeffs == (1, 2)
+
     def test_shift(self):
         assert Q.shift(2) == IntPoly((0, 0, 0, 1))
         assert ZERO.shift(5) == ZERO
@@ -84,13 +112,42 @@ class TestRingOperations:
     def test_pinned_mul(self):
         assert IntPoly((1, 0, 1)) * IntPoly((1, 1, 1)) == IntPoly((1, 1, 2, 1, 1))
 
-    def test_arith_dispatch(self):
-        a, b = IntPoly((1, 1)), IntPoly((0, 1))
-        assert arith(a, b, "add") == a + b
-        assert arith(a, b, "sub") == a - b
-        assert arith(a, b, "mul") == a * b
-        with pytest.raises(InvalidParameter):
-            arith(a, b, "div")
+    def test_threshold_splits_the_tested_sizes(self):
+        assert 1 <= KRONECKER_THRESHOLD < 60
+
+    @given(wide_int_polys, wide_int_polys)
+    def test_mul_matches_schoolbook(self, a, b):
+        assert a * b == schoolbook(a, b)
+
+    @pytest.mark.parametrize("shape", [
+        (1, 60), (60, 1), (17, 64), (64, 17),
+        (KRONECKER_THRESHOLD, KRONECKER_THRESHOLD + 1),
+        (KRONECKER_THRESHOLD + 1, KRONECKER_THRESHOLD + 1),
+        (KRONECKER_THRESHOLD + 1, 64), (64, 64),
+    ])
+    def test_mul_matches_schoolbook_lopsided(self, shape):
+        n, m = shape
+        a = IntPoly(tuple((-1) ** i * (2**256 - 7 * i) for i in range(n)))
+        b = IntPoly(tuple(0 if i % 3 == 1 else 3**i - 2**100 for i in range(m)))
+        assert a * b == schoolbook(a, b) == b * a
+
+    @pytest.mark.parametrize("n", [KRONECKER_THRESHOLD + 1, 40])
+    def test_mul_at_the_digit_width_bound(self, n):
+        # With every |coefficient| equal to m, the middle product coefficient
+        # is +-n*m*m, exactly the bound the digit width is chosen from; the
+        # bound's bit length runs through every residue mod 8.
+        for bits in range(8, 120):
+            m = isqrt((1 << bits) // n)
+            a = IntPoly((m,) * n)
+            for signs in ((1,) * n, (-1,) * n, (1,) * (n - 1) + (-1,)):
+                b = IntPoly(tuple(sign * m for sign in signs))
+                assert a * b == schoolbook(a, b)
+
+    def test_pinned_large_square(self):
+        p = q_binomial(80, 40)
+        square = p**2
+        assert square == schoolbook(p, p)
+        assert eval_int(square, 1) == comb(80, 40) ** 2
 
     def test_pow(self):
         assert IntPoly((1, 1)) ** 2 == IntPoly((1, 2, 1))
