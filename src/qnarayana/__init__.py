@@ -53,12 +53,10 @@ from .sums import (
     thm12_sum,
 )
 from .verify import (
-    STATEMENT_CLAIM,
-    STATEMENT_CLASS,
     STATEMENTS,
     CaseSpec,
-    DivisionCheck,
     ProofTrace,
+    Statement,
     Verdict,
     check_divisibility,
     claim_holds,
@@ -103,10 +101,8 @@ __all__ = [
     "cyclic_modulus",
     "gjz_sum",
     "STATEMENTS",
-    "STATEMENT_CLASS",
-    "STATEMENT_CLAIM",
+    "Statement",
     "CaseSpec",
-    "DivisionCheck",
     "Verdict",
     "ProofTrace",
     "check_divisibility",

@@ -45,38 +45,14 @@ from .polyarith import format_poly
 from .qobjects import q_binomial, q_catalan, q_narayana
 from .sums import FPoly, cyclic_sum, gjz_sum, thm12_sum
 from .verify import (
-    STATEMENT_CLASS,
     STATEMENTS,
     CaseSpec,
     Verdict,
     claim_holds,
+    get_statement,
     replay_proof,
     verify_case,
 )
-
-# Exponent polynomials swept for conj34 when --f-suite is not given: zero,
-# the quadratic recovering the j=1 theorem case, a mixed quadratic, and two
-# cases whose negative values at negative k force a normalization shift.
-DEFAULT_F_SUITE = (
-    FPoly(()),
-    FPoly((0, 0, 1)),
-    FPoly((0, 1, 2)),
-    FPoly((0, 0, 0, 1)),
-    FPoly((0, -1, 0, 0, 1)),
-)
-
-# Sweep bounds used when a verify command does not narrow them.
-DEFAULT_RANGES = {
-    "thm11": {"n_range": (1, 14), "r_range": (1, 4)},
-    "thm12": {"n_range": (1, 10), "r_range": (1, 3)},
-    "conj31": {"m_range": (1, 3), "ni_max": 6},
-    "conj32": {"n_range": (1, 8), "r_range": (1, 3)},
-    "conj33": {"m_range": (1, 3), "ni_max": 4},
-    "conj34": {"m_range": (1, 2), "ni_max": 5},
-    "gjz": {"m_range": (1, 4), "ni_max": 5},
-}
-
-_J_STATEMENTS = ("thm12", "conj32", "conj33", "gjz")
 
 _CSV_COLUMNS = (
     "statement",
@@ -124,18 +100,16 @@ class SweepSpec:
     out: str = None
 
     def validate(self):
-        if self.statement not in STATEMENT_CLASS:
-            raise InvalidParameter(f"unknown statement {self.statement!r}")
+        fields = get_statement(self.statement).fields
         if self.format not in ("text", "jsonl", "csv"):
             raise InvalidParameter(f"unknown format {self.format!r}")
         if self.jobs < 1:
             raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
-        uses_nr = self.statement in ("thm11", "thm12", "conj32")
-        if uses_nr:
-            if self.n_range is None or self.r_range is None:
-                raise InvalidParameter(f"{self.statement} requires --n and --r ranges")
+        if "ns" not in fields:
             if self.ns is not None or self.m_range is not None or self.ni_max is not None:
                 raise InvalidParameter(f"{self.statement} does not take chain bounds")
+            if self.n_range is None or self.r_range is None:
+                raise InvalidParameter(f"{self.statement} requires --n and --r ranges")
             for name, rng in (("n", self.n_range), ("r", self.r_range)):
                 if rng[0] < 1:
                     raise InvalidParameter(f"{name} range must start at >= 1, got {rng[0]}")
@@ -156,7 +130,7 @@ class SweepSpec:
                     raise InvalidParameter(f"m range must start at >= 1, got {self.m_range[0]}")
                 if self.ni_max < 1:
                     raise InvalidParameter(f"ni-max must be >= 1, got {self.ni_max}")
-        if self.statement in _J_STATEMENTS:
+        if "j" in fields:
             if self.j_mode not in ("theorem", "extended"):
                 raise InvalidParameter(f"unknown j-mode {self.j_mode!r}")
             if self.j_mode == "extended":
@@ -166,9 +140,9 @@ class SweepSpec:
                 raise InvalidParameter("--j-max applies to extended j-mode only")
         elif self.j_mode != "theorem" or self.j_max is not None:
             raise InvalidParameter(f"{self.statement} does not take j options")
-        if self.statement == "conj34":
+        if "f" in fields:
             if not self.f_suite:
-                raise InvalidParameter("conj34 requires a nonempty f-suite")
+                raise InvalidParameter(f"{self.statement} requires a nonempty f-suite")
             for f in self.f_suite:
                 if not isinstance(f, FPoly):
                     raise InvalidParameter(f"f-suite entries must be FPoly, got {f!r}")
@@ -189,7 +163,7 @@ class SweepSpec:
             parts.append(f"m={self.m_range[0]}..{self.m_range[1]}")
         if self.ni_max is not None:
             parts.append(f"ni_max={self.ni_max}")
-        if self.statement in _J_STATEMENTS:
+        if "j" in get_statement(self.statement).fields:
             parts.append(
                 "j=theorem" if self.j_mode == "theorem" else f"j=0..{self.j_max}"
             )
@@ -211,34 +185,26 @@ class SweepSpec:
 
     def expand(self):
         """All CaseSpecs, lexicographic in (n or ns, r, j, f-suite index)."""
-        statement = self.statement
-        cases = []
-        if statement == "thm11":
-            for n in range(self.n_range[0], self.n_range[1] + 1):
-                for r in range(self.r_range[0], self.r_range[1] + 1):
-                    cases.append(CaseSpec(statement, n=n, r=r))
-        elif statement in ("thm12", "conj32"):
-            for n in range(self.n_range[0], self.n_range[1] + 1):
-                for r in range(self.r_range[0], self.r_range[1] + 1):
-                    for j in self._j_values(2 * r):
-                        cases.append(CaseSpec(statement, n=n, r=r, j=j))
-        elif statement == "conj31":
-            for ns in self._chains():
-                cases.append(CaseSpec(statement, ns=ns))
-        elif statement == "conj33":
-            for ns in self._chains():
-                for j in self._j_values(2 * len(ns)):
-                    cases.append(CaseSpec(statement, ns=ns, j=j))
-        elif statement == "conj34":
-            for ns in self._chains():
-                for f in self.f_suite:
-                    cases.append(CaseSpec(statement, ns=ns, f=f))
-        elif statement == "gjz":
-            for ns in self._chains():
-                for j in self._j_values(len(ns)):
-                    cases.append(CaseSpec(statement, ns=ns, j=j))
+        name = self.statement
+        statement = get_statement(name)
+        if "ns" in statement.fields:
+            heads = [{"ns": ns} for ns in self._chains()]
         else:
-            raise InvalidParameter(f"unknown statement {statement!r}")
+            heads = [
+                {"n": n, "r": r}
+                for n in range(self.n_range[0], self.n_range[1] + 1)
+                for r in range(self.r_range[0], self.r_range[1] + 1)
+            ]
+        cases = []
+        for head in heads:
+            if statement.j_scale is not None:
+                for j in self._j_values(statement.j_count(head.get("r"), head.get("ns"))):
+                    cases.append(CaseSpec(name, j=j, **head))
+            elif "f" in statement.fields:
+                for f in self.f_suite:
+                    cases.append(CaseSpec(name, f=f, **head))
+            else:
+                cases.append(CaseSpec(name, **head))
         return cases
 
 
@@ -285,7 +251,7 @@ def outcome(result):
         return "exploratory"
     if claim_holds(result):
         return "pass"
-    kind = STATEMENT_CLASS[result.case.statement]
+    kind = STATEMENTS[result.case.statement].kind
     return "fail" if kind == "theorem" else "finding"
 
 
@@ -349,38 +315,35 @@ def run_sweep(spec):
     )
 
 
-def _case_fields(case):
-    yield "statement", case.statement
-    if case.n is not None:
-        yield "n", case.n
-    if case.r is not None:
-        yield "r", case.r
-    if case.j is not None:
-        yield "j", case.j
-    if case.ns is not None:
-        yield "ns", list(case.ns)
-    if case.f is not None:
-        yield "f", list(case.f.coeffs)
+def result_record(result):
+    """One result as an ordered record; every report format renders it.
 
-
-def verdict_record(verdict):
-    """Verdict as a JSON-ready dict in the documented key order."""
-    record = dict(_case_fields(verdict.case))
-    record["shift"] = verdict.shift
-    record["divisible"] = verdict.divisible
-    if verdict.divisible:
-        record["quotient"] = format_poly(verdict.quotient)
-        record["quotient_nonneg"] = verdict.quotient_nonneg
-    record["in_theorem_range"] = verdict.in_theorem_range
-    record["sum_degree"] = verdict.sum_degree
+    The parameters the case sets come first, in the order n, r, j, ns, f.
+    A verdict goes on with shift and divisible, then quotient and
+    quotient_nonneg when divisible, then in_theorem_range and sum_degree; a
+    CaseError with error and message.  ns and f (its coefficients) are
+    tuples: JSON arrays in jsonl, comma-separated cells in csv and text.
+    """
+    record = {"statement": result.case.statement}
+    for name, value in result.case.params():
+        record[name] = value.coeffs if name == "f" else value
+    if isinstance(result, CaseError):
+        record["error"] = result.kind
+        record["message"] = result.message
+        return record
+    record["shift"] = result.shift
+    record["divisible"] = result.divisible
+    if result.divisible:
+        record["quotient"] = format_poly(result.quotient)
+        record["quotient_nonneg"] = result.quotient_nonneg
+    record["in_theorem_range"] = result.in_theorem_range
+    record["sum_degree"] = result.sum_degree
     return record
 
 
-def error_record(case_error):
-    record = dict(_case_fields(case_error.case))
-    record["error"] = case_error.kind
-    record["message"] = case_error.message
-    return record
+def summary_record(summary):
+    """The Summary counts, in field order, followed by the exit code."""
+    return {**vars(summary), "exit": exit_code(summary)}
 
 
 def _dumps(obj):
@@ -398,51 +361,18 @@ def _cell(value):
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value) or "0"
     return str(value)
 
 
-def _row_values(result):
-    case = result.case
-    ns_text = ",".join(str(v) for v in case.ns) if case.ns is not None else None
-    f_text = str(case.f) if case.f is not None else None
-    if isinstance(result, CaseError):
-        return {
-            "statement": case.statement,
-            "n": case.n,
-            "r": case.r,
-            "j": case.j,
-            "ns": ns_text,
-            "f": f_text,
-            "shift": None,
-            "divisible": None,
-            "quotient_nonneg": None,
-            "in_theorem_range": None,
-            "sum_degree": None,
-            "quotient": f"{result.kind}: {result.message}",
-        }
-    return {
-        "statement": case.statement,
-        "n": case.n,
-        "r": case.r,
-        "j": case.j,
-        "ns": ns_text,
-        "f": f_text,
-        "shift": result.shift,
-        "divisible": result.divisible,
-        "quotient_nonneg": result.quotient_nonneg,
-        "in_theorem_range": result.in_theorem_range,
-        "sum_degree": result.sum_degree,
-        "quotient": format_poly(result.quotient) if result.divisible else None,
-    }
-
-
-def _summary_text(summary, code):
-    return (
-        f"cases={summary.cases} passed={summary.passed}"
-        f" findings={summary.findings} failures={summary.failures}"
-        f" errors={summary.errors} exploratory={summary.exploratory}"
-        f" max_degree={summary.max_degree} exit={code}"
-    )
+def _cells(record):
+    """A record's csv cells; an error's kind and message fill the quotient
+    cell."""
+    cells = [_cell(record.get(column)) for column in _CSV_COLUMNS]
+    if "error" in record:
+        cells[-1] = f"{record['error']}: {record['message']}"
+    return cells
 
 
 def emit_report(report, fmt, stream):
@@ -451,15 +381,14 @@ def emit_report(report, fmt, stream):
     All formats present the results in expansion order; only the line
     holding the timestamp and wall time varies between identical runs.
     """
-    code = exit_code(report.summary)
+    records = [result_record(result) for result in report.results]
+    summary = summary_record(report.summary)
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for result in report.results:
-            if isinstance(result, CaseError):
-                continue
-            values = _row_values(result)
-            writer.writerow([_cell(values[column]) for column in _CSV_COLUMNS])
+        for record in records:
+            if "error" not in record:
+                writer.writerow(_cells(record))
         return
     if fmt == "jsonl":
         stream.write(_dumps({"header": {"version": report.version, "sweep": report.spec_echo}}) + "\n")
@@ -467,29 +396,9 @@ def emit_report(report, fmt, stream):
             _dumps({"meta": {"generated": report.timestamp, "wall_seconds": round(report.wall_seconds, 3)}})
             + "\n"
         )
-        for result in report.results:
-            if isinstance(result, CaseError):
-                stream.write(_dumps(error_record(result)) + "\n")
-            else:
-                stream.write(_dumps(verdict_record(result)) + "\n")
-        summary = report.summary
-        stream.write(
-            _dumps(
-                {
-                    "summary": {
-                        "cases": summary.cases,
-                        "passed": summary.passed,
-                        "findings": summary.findings,
-                        "failures": summary.failures,
-                        "errors": summary.errors,
-                        "exploratory": summary.exploratory,
-                        "max_degree": summary.max_degree,
-                        "exit": code,
-                    }
-                }
-            )
-            + "\n"
-        )
+        for record in records:
+            stream.write(_dumps(record) + "\n")
+        stream.write(_dumps({"summary": summary}) + "\n")
         return
     if fmt != "text":
         raise InvalidParameter(f"unknown format {fmt!r}")
@@ -497,16 +406,10 @@ def emit_report(report, fmt, stream):
     stream.write(f"# sweep: {report.spec_echo}\n")
     stream.write(f"# generated: {report.timestamp} wall={report.wall_seconds:.3f}s\n")
     rows = []
-    for result in report.results:
-        values = _row_values(result)
-        values["outcome"] = outcome(result)
-        row = []
-        for column in _TEXT_COLUMNS:
-            text = _cell(values[column]) or "-"
-            if column == "quotient":
-                text = _clip(text)
-            row.append(text)
-        rows.append(row)
+    for result, record in zip(report.results, records):
+        cells = _cells(record)
+        cells[-1:] = [outcome(result), _clip(cells[-1])]
+        rows.append([text or "-" for text in cells])
     widths = [len(column) for column in _TEXT_COLUMNS]
     for row in rows:
         widths = [max(w, len(text)) for w, text in zip(widths, row)]
@@ -515,7 +418,8 @@ def emit_report(report, fmt, stream):
     for row in rows:
         line = "  ".join(text.ljust(width) for text, width in zip(row, widths))
         stream.write(line.rstrip() + "\n")
-    stream.write(f"# summary: {_summary_text(report.summary, code)}\n")
+    summary_text = " ".join(f"{key}={value}" for key, value in summary.items())
+    stream.write(f"# summary: {summary_text}\n")
 
 
 def _parse_range(text):
@@ -671,15 +575,15 @@ def _emit_proof(trace, fmt, stream):
 
 
 def _sweep_spec(args):
-    defaults = DEFAULT_RANGES[args.statement]
+    statement = STATEMENTS[args.statement]
     fields = {name: getattr(args, name, None) for name in
               ("n_range", "r_range", "m_range", "ni_max", "ns", "j_max", "f_suite")}
     if fields["ns"] is None:
-        for name in ("n_range", "r_range", "m_range", "ni_max"):
+        for name, value in statement.ranges.items():
             if fields[name] is None:
-                fields[name] = defaults.get(name)
-    if args.statement == "conj34" and fields["f_suite"] is None:
-        fields["f_suite"] = DEFAULT_F_SUITE
+                fields[name] = value
+    if fields["f_suite"] is None:
+        fields["f_suite"] = statement.f_suite
     return SweepSpec(
         statement=args.statement,
         j_mode=args.j_mode,

@@ -2,11 +2,12 @@
 an executable replay of the Bezout-cofactor argument behind the main
 congruence.
 
-Statements are identified by short ids and classified two ways, as data
-rather than code paths so sweep drivers can reclassify without touching the
-verdict logic:
+Statements are identified by short ids.  Everything that distinguishes one
+id is a single Statement entry in STATEMENTS, as data rather than code paths,
+so validation, sweep expansion and reporting never branch on the id.  Each
+statement is classified two ways:
 
-* class: "theorem" (a failed claim is an implementation bug) versus
+* kind: "theorem" (a failed claim is an implementation bug) versus
   "conjecture" (a failed claim is a mathematically interesting finding);
 * claim: what the statement asserts, one of exact divisibility, a nonnegative
   quotient, or nonnegativity of the built polynomial itself.
@@ -34,37 +35,21 @@ from .polyarith import (
 from .qobjects import catalan_int, narayana_int, q_binomial, q_catalan, q_integer
 from .sums import FPoly, NormalizedSum, cyclic_modulus, cyclic_sum, gjz_sum, thm12_sum
 
-STATEMENT_CLASS = {
-    "thm11": "theorem",
-    "thm12": "theorem",
-    "gjz": "theorem",
-    "conj31": "conjecture",
-    "conj32": "conjecture",
-    "conj33": "conjecture",
-    "conj34": "conjecture",
-}
+# Exponent polynomials swept for conj34 when --f-suite is not given: zero,
+# the quadratic recovering the j=1 theorem case, a mixed quadratic, k^3, whose
+# negative values at negative k force a normalization shift once n1 >= 2, and
+# k^4 - k, which never shifts because k^4 - k + k(k-1)/2 >= 0 for every
+# integer k.
+DEFAULT_F_SUITE = (
+    FPoly(()),
+    FPoly((0, 0, 1)),
+    FPoly((0, 1, 2)),
+    FPoly((0, 0, 0, 1)),
+    FPoly((0, -1, 0, 0, 1)),
+)
 
-STATEMENT_CLAIM = {
-    "thm11": "divisible",
-    "thm12": "divisible",
-    "conj31": "divisible",
-    "conj32": "nonneg_quotient",
-    "conj33": "nonneg_quotient",
-    "conj34": "divisible",
-    "gjz": "nonneg_poly",
-}
-
-STATEMENTS = tuple(STATEMENT_CLASS)
-
-_REQUIRED_FIELDS = {
-    "thm11": ("n", "r"),
-    "thm12": ("n", "r", "j"),
-    "conj31": ("ns",),
-    "conj32": ("n", "r", "j"),
-    "conj33": ("ns", "j"),
-    "conj34": ("ns", "f"),
-    "gjz": ("ns", "j"),
-}
+# CaseSpec parameters in record order.
+_PARAMS = ("n", "r", "j", "ns", "f")
 
 # Above this n the thm11 polynomial cross-check is skipped; the plain
 # integer route stays authoritative and fast at every size.
@@ -91,14 +76,12 @@ class CaseSpec:
             object.__setattr__(self, "ns", tuple(self.ns))
 
     def validate(self):
-        if self.statement not in STATEMENT_CLASS:
-            raise InvalidParameter(f"unknown statement {self.statement!r}")
-        required = _REQUIRED_FIELDS[self.statement]
-        for field in ("n", "r", "j", "ns", "f"):
+        fields = get_statement(self.statement).fields
+        for field in _PARAMS:
             value = getattr(self, field)
-            if field in required and value is None:
+            if field in fields and value is None:
                 raise InvalidParameter(f"{self.statement} requires {field}")
-            if field not in required and value is not None:
+            if field not in fields and value is not None:
                 raise InvalidParameter(f"{self.statement} does not take {field}")
         if self.n is not None and self.n < 1:
             raise InvalidParameter(f"n must be >= 1, got {self.n}")
@@ -118,26 +101,21 @@ class CaseSpec:
     def in_theorem_range(self):
         """True when the parameters fall inside the range the statement
         actually claims; outside it a verdict is exploratory."""
-        if self.statement in ("thm11", "conj31", "conj34"):
+        statement = get_statement(self.statement)
+        if statement.j_scale is None:
             return True
-        if self.statement in ("thm12", "conj32"):
-            return 0 <= self.j <= 2 * self.r - 1
-        if self.statement == "conj33":
-            return 0 <= self.j <= 2 * len(self.ns) - 1
-        if self.statement == "gjz":
-            return 0 <= self.j <= len(self.ns) - 1
-        raise InvalidParameter(f"unknown statement {self.statement!r}")
+        return 0 <= self.j < statement.j_count(self.r, self.ns)
+
+    def params(self):
+        """(name, value) of each parameter that is set, in the order n, r,
+        j, ns, f."""
+        return [(name, value) for name in _PARAMS if (value := getattr(self, name)) is not None]
 
     def label(self):
         parts = [self.statement]
-        for field in ("n", "r", "j"):
-            value = getattr(self, field)
-            if value is not None:
-                parts.append(f"{field}={value}")
-        if self.ns is not None:
-            parts.append("ns=" + ",".join(str(v) for v in self.ns))
-        if self.f is not None:
-            parts.append(f"f={self.f}")
+        for name, value in self.params():
+            text = ",".join(str(v) for v in value) if name == "ns" else value
+            parts.append(f"{name}={text}")
         return " ".join(parts)
 
 
@@ -162,13 +140,6 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class DivisionCheck:
-    divisible: bool
-    quotient: IntPoly
-    quotient_nonneg: bool
-
-
-@dataclass(frozen=True)
 class ProofTrace:
     """Everything the replayed proof computed, already re-checked: the sum,
     the modulus, the Bezout cofactors certifying coprimality of the two
@@ -185,11 +156,11 @@ class ProofTrace:
 
 
 def check_divisibility(s, modulus):
-    """Try the exact division of a sum by a modulus with constant term 1.
+    """Exact quotient of a sum by a modulus with constant term 1, or None
+    when the modulus does not divide the sum.
 
-    Accepts a NormalizedSum or a bare IntPoly.  On success the quotient is
-    re-multiplied against the modulus and compared before being reported,
-    together with its nonnegativity.
+    Accepts a NormalizedSum or a bare IntPoly.  The quotient is
+    re-multiplied against the modulus and compared before it is returned.
     """
     if not modulus or modulus.constant != 1:
         raise InvalidModulus(
@@ -199,25 +170,25 @@ def check_divisibility(s, modulus):
     try:
         quotient = exact_div(poly, modulus)
     except NotDivisible:
-        return DivisionCheck(False, None, None)
+        return None
     if quotient * modulus != poly:
         raise ArithmeticError("division re-multiplication mismatch")
-    return DivisionCheck(True, quotient, is_nonneg(quotient))
+    return quotient
 
 
-def _poly_verdict(case, summed, frag):
+def _poly_verdict(case, summed, quotient):
+    """Verdict on a built sum, given its quotient (None if not divisible)."""
     if isinstance(summed, NormalizedSum):
         poly, shift = summed.poly, summed.shift
     else:
         poly, shift = summed, 0
-    degree = poly.degree if poly else -1
     return Verdict(
         case=case,
-        sum_degree=degree,
+        sum_degree=poly.degree if poly else -1,
         shift=shift,
-        divisible=frag.divisible,
-        quotient=frag.quotient,
-        quotient_nonneg=frag.quotient_nonneg,
+        divisible=quotient is not None,
+        quotient=quotient,
+        quotient_nonneg=None if quotient is None else is_nonneg(quotient),
         in_theorem_range=case.in_theorem_range(),
     )
 
@@ -255,8 +226,7 @@ def _verify_thm11(case):
 
 def _verify_narayana_power(case):
     summed = thm12_sum(case.n, case.r, case.j)
-    frag = check_divisibility(summed, q_catalan(case.n))
-    return _poly_verdict(case, summed, frag)
+    return _poly_verdict(case, summed, check_divisibility(summed, q_catalan(case.n)))
 
 
 def _verify_conj31(case):
@@ -286,14 +256,12 @@ def _verify_conj31(case):
 
 def _verify_conj33(case):
     summed = cyclic_sum(case.ns, FPoly.quadratic(case.j))
-    frag = check_divisibility(summed, cyclic_modulus(case.ns))
-    return _poly_verdict(case, summed, frag)
+    return _poly_verdict(case, summed, check_divisibility(summed, cyclic_modulus(case.ns)))
 
 
 def _verify_conj34(case):
     summed = cyclic_sum(case.ns, case.f)
-    frag = check_divisibility(summed, cyclic_modulus(case.ns))
-    return _poly_verdict(case, summed, frag)
+    return _poly_verdict(case, summed, check_divisibility(summed, cyclic_modulus(case.ns)))
 
 
 def _verify_gjz(case):
@@ -301,32 +269,76 @@ def _verify_gjz(case):
         poly = gjz_sum(case.ns, case.j)
     except NotDivisible:
         return Verdict(case, -1, 0, False, None, None, case.in_theorem_range())
-    frag = DivisionCheck(True, poly, is_nonneg(poly))
-    return _poly_verdict(case, poly, frag)
+    return _poly_verdict(case, poly, poly)
 
 
-_BUILDERS = {
-    "thm11": _verify_thm11,
-    "thm12": _verify_narayana_power,
-    "conj31": _verify_conj31,
-    "conj32": _verify_narayana_power,
-    "conj33": _verify_conj33,
-    "conj34": _verify_conj34,
-    "gjz": _verify_gjz,
+@dataclass(frozen=True)
+class Statement:
+    """Everything that distinguishes one statement id.
+
+    kind is "theorem" (a failed claim is an implementation bug) or
+    "conjecture" (a failed claim is a finding).  claim is what the statement
+    asserts: "divisible", "nonneg_quotient" (divisible with a nonnegative
+    quotient) or "nonneg_poly" (the built polynomial itself is nonnegative).
+    fields are the CaseSpec parameters it takes, in the order n, r, j, ns, f.
+    A statement taking j claims 0 <= j < j_count(r, ns); j_scale is None when
+    it takes no j.
+    ranges are the default verify sweep bounds, used when no --ns is given,
+    and f_suite the default exponent polynomials for a statement taking f.
+    build turns a validated CaseSpec into its Verdict.
+    """
+
+    kind: str
+    claim: str
+    fields: tuple
+    j_scale: int
+    ranges: dict
+    build: object
+    f_suite: tuple = None
+
+    def j_count(self, r, ns):
+        """How many j the statement claims: j_scale times r, or times len(ns)
+        for the chain statements."""
+        return self.j_scale * (r if ns is None else len(ns))
+
+
+# The statement catalog, in the order the command line lists it.
+STATEMENTS = {
+    "thm11": Statement("theorem", "divisible", ("n", "r"), None,
+                       {"n_range": (1, 14), "r_range": (1, 4)}, _verify_thm11),
+    "thm12": Statement("theorem", "divisible", ("n", "r", "j"), 2,
+                       {"n_range": (1, 10), "r_range": (1, 3)}, _verify_narayana_power),
+    "gjz": Statement("theorem", "nonneg_poly", ("j", "ns"), 1,
+                     {"m_range": (1, 4), "ni_max": 5}, _verify_gjz),
+    "conj31": Statement("conjecture", "divisible", ("ns",), None,
+                        {"m_range": (1, 3), "ni_max": 6}, _verify_conj31),
+    "conj32": Statement("conjecture", "nonneg_quotient", ("n", "r", "j"), 2,
+                        {"n_range": (1, 8), "r_range": (1, 3)}, _verify_narayana_power),
+    "conj33": Statement("conjecture", "nonneg_quotient", ("j", "ns"), 2,
+                        {"m_range": (1, 3), "ni_max": 4}, _verify_conj33),
+    "conj34": Statement("conjecture", "divisible", ("ns", "f"), None,
+                        {"m_range": (1, 2), "ni_max": 5}, _verify_conj34, DEFAULT_F_SUITE),
 }
+
+
+def get_statement(statement):
+    """The registry entry for a statement id; InvalidParameter if unknown."""
+    try:
+        return STATEMENTS[statement]
+    except KeyError:
+        raise InvalidParameter(f"unknown statement {statement!r}") from None
 
 
 def verify_case(case):
     """Build the case's sum and modulus and return a full Verdict."""
     case.validate()
-    return _BUILDERS[case.statement](case)
+    return STATEMENTS[case.statement].build(case)
 
 
 def claim_holds(verdict):
     """Whether the statement's own claim holds for this verdict, regardless
     of whether the parameters were inside the claimed range."""
-    claim = STATEMENT_CLAIM[verdict.case.statement]
-    if claim == "divisible":
+    if STATEMENTS[verdict.case.statement].claim == "divisible":
         return verdict.divisible
     return bool(verdict.divisible and verdict.quotient_nonneg)
 

@@ -9,7 +9,7 @@ import math
 import time
 from contextlib import contextmanager
 
-from qnarayana.cli import DEFAULT_F_SUITE, SweepSpec, emit_report, exit_code, run_sweep
+from qnarayana.cli import SweepSpec, emit_report, exit_code, run_sweep
 from qnarayana.polyarith import (
     ONE,
     Q,
@@ -22,7 +22,8 @@ from qnarayana.polyarith import (
 from qnarayana.qobjects import q_binomial, q_catalan, q_integer, q_shifted_factorial
 from qnarayana.sums import FPoly, cyclic_sum, thm12_sum
 from qnarayana.verify import (
-    STATEMENT_CLASS,
+    DEFAULT_F_SUITE,
+    STATEMENTS,
     CaseSpec,
     check_divisibility,
     replay_proof,
@@ -94,9 +95,7 @@ def test_criterion_3_pinned_values():
         assert thm12_sum(2, 1, 0) == IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1))
         modulus = q_catalan(2)
         assert modulus == IntPoly((1, 0, 1))
-        check = check_divisibility(thm12_sum(2, 1, 0), modulus)
-        assert check.divisible is True
-        assert check.quotient == Q**6
+        assert check_divisibility(thm12_sum(2, 1, 0), modulus) == Q**6
         assert q_catalan(3) == IntPoly((1, 0, 1, 1, 1, 0, 1))
 
 
@@ -178,7 +177,7 @@ def test_criterion_8_bridge_identities():
 def test_criterion_9_conjecture_sweeps_and_determinism():
     with criterion(9):
         for statement in ("conj31", "conj33", "conj34"):
-            assert STATEMENT_CLASS[statement] == "conjecture"
+            assert STATEMENTS[statement].kind == "conjecture"
         assert_clean_sweep(run_sweep(SweepSpec("conj31", m_range=(1, 3), ni_max=6)))
         assert_clean_sweep(run_sweep(SweepSpec("conj33", m_range=(1, 3), ni_max=4)))
         assert_clean_sweep(

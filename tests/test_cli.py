@@ -8,7 +8,6 @@ import json
 import pytest
 
 from qnarayana.cli import (
-    DEFAULT_F_SUITE,
     CaseError,
     Report,
     SweepSpec,
@@ -20,14 +19,14 @@ from qnarayana.cli import (
     exit_code,
     main,
     outcome,
+    result_record,
     run_sweep,
     summarize,
-    verdict_record,
 )
 from qnarayana.errors import InvalidParameter
 from qnarayana.polyarith import IntPoly, parse_poly
 from qnarayana.sums import FPoly
-from qnarayana.verify import CaseSpec, Verdict, verify_case
+from qnarayana.verify import DEFAULT_F_SUITE, CaseSpec, Verdict, verify_case
 
 CSV_HEADER = (
     "statement,n,r,j,ns,f,shift,divisible,quotient_nonneg,"
@@ -101,6 +100,8 @@ class TestSweepSpecExpansion:
             SweepSpec("thm12", n_range=(1, 2)).validate()
         with pytest.raises(InvalidParameter):
             SweepSpec("thm12", n_range=(1, 2), r_range=(1, 1), ns=(1,)).validate()
+        with pytest.raises(InvalidParameter, match="does not take"):
+            SweepSpec("thm12", ns=(1,)).validate()
         with pytest.raises(InvalidParameter):
             SweepSpec("conj31", n_range=(1, 2)).validate()
         with pytest.raises(InvalidParameter):
@@ -230,7 +231,7 @@ class TestReports:
             if "quotient" in record:
                 assert parse_poly(record["quotient"]).coeffs
         for verdict in report.results:
-            record = verdict_record(verdict)
+            record = result_record(verdict)
             if "quotient" in record:
                 assert parse_poly(record["quotient"]) == verdict.quotient
 

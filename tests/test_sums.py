@@ -188,6 +188,9 @@ class TestCyclicSum:
         result = cyclic_sum((2,), f)
         assert result.shift == 5
         assert result == cyclic_sum_reversed((2,), f)
+        result = cyclic_sum((3,), f)
+        assert result.shift == 21
+        assert result == cyclic_sum_reversed((3,), f)
 
     def test_shift_zero_when_exponents_stay_nonnegative(self):
         assert cyclic_sum((2,), FPoly.quadratic(4)).shift == 0

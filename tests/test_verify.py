@@ -15,8 +15,6 @@ from qnarayana.polyarith import (
 from qnarayana.qobjects import q_binomial, q_integer
 from qnarayana.sums import FPoly, NormalizedSum, cyclic_modulus, cyclic_sum
 from qnarayana.verify import (
-    STATEMENT_CLAIM,
-    STATEMENT_CLASS,
     STATEMENTS,
     CaseSpec,
     ProofTrace,
@@ -30,36 +28,44 @@ from qnarayana.verify import (
 
 class TestStatementCatalog:
     def test_classification_is_total(self):
-        assert set(STATEMENTS) == set(STATEMENT_CLASS) == set(STATEMENT_CLAIM)
-        assert set(STATEMENT_CLASS.values()) == {"theorem", "conjecture"}
-        assert STATEMENT_CLASS["thm12"] == "theorem"
-        assert STATEMENT_CLASS["gjz"] == "theorem"
-        assert STATEMENT_CLASS["conj32"] == "conjecture"
+        assert list(STATEMENTS) == [
+            "thm11", "thm12", "gjz", "conj31", "conj32", "conj33", "conj34",
+        ]
+        assert {name: s.kind for name, s in STATEMENTS.items()} == {
+            "thm11": "theorem",
+            "thm12": "theorem",
+            "gjz": "theorem",
+            "conj31": "conjecture",
+            "conj32": "conjecture",
+            "conj33": "conjecture",
+            "conj34": "conjecture",
+        }
+        assert {name: s.claim for name, s in STATEMENTS.items()} == {
+            "thm11": "divisible",
+            "thm12": "divisible",
+            "gjz": "nonneg_poly",
+            "conj31": "divisible",
+            "conj32": "nonneg_quotient",
+            "conj33": "nonneg_quotient",
+            "conj34": "divisible",
+        }
 
 
 class TestCheckDivisibility:
     def test_pinned_divisible(self):
-        frag = check_divisibility(IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1)), IntPoly((1, 0, 1)))
-        assert frag.divisible
-        assert frag.quotient == IntPoly((0, 0, 0, 0, 0, 0, 1))
-        assert frag.quotient_nonneg
+        quotient = check_divisibility(IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1)), IntPoly((1, 0, 1)))
+        assert quotient == IntPoly((0, 0, 0, 0, 0, 0, 1))
 
     def test_pinned_trivial_modulus_with_negative_quotient(self):
-        frag = check_divisibility(IntPoly((1, 1, 0, -1)), ONE)
-        assert frag.divisible
-        assert frag.quotient == IntPoly((1, 1, 0, -1))
-        assert not frag.quotient_nonneg
+        quotient = check_divisibility(IntPoly((1, 1, 0, -1)), ONE)
+        assert quotient == IntPoly((1, 1, 0, -1))
 
     def test_pinned_not_divisible(self):
-        frag = check_divisibility(IntPoly((1, 1)), IntPoly((1, 1, 1)))
-        assert not frag.divisible
-        assert frag.quotient is None
-        assert frag.quotient_nonneg is None
+        assert check_divisibility(IntPoly((1, 1)), IntPoly((1, 1, 1))) is None
 
     def test_accepts_normalized_sum(self):
         summed = NormalizedSum(IntPoly((0, 0, 1, 1, 1)), 0)
-        frag = check_divisibility(summed, IntPoly((1, 1, 1)))
-        assert frag.divisible and frag.quotient == IntPoly((0, 0, 1))
+        assert check_divisibility(summed, IntPoly((1, 1, 1))) == IntPoly((0, 0, 1))
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(InvalidModulus):
