@@ -11,7 +11,6 @@ sweep-and-report command line sit on top.
 __version__ = "0.1.0"
 
 from .errors import (
-    BothZero,
     InvalidModulus,
     InvalidParameter,
     NotDivisible,
@@ -22,14 +21,10 @@ from .polyarith import (
     NEG_INF,
     ONE,
     Q,
-    RAT_ONE,
-    RAT_ZERO,
     ZERO,
     IntPoly,
-    RatPoly,
     eval_int,
     exact_div,
-    format_poly,
     gcd_bezout,
     is_nonneg,
     parse_poly,
@@ -66,7 +61,6 @@ from .verify import (
 
 __all__ = [
     "__version__",
-    "BothZero",
     "InvalidModulus",
     "InvalidParameter",
     "NotDivisible",
@@ -76,15 +70,11 @@ __all__ = [
     "ZERO",
     "ONE",
     "Q",
-    "RAT_ZERO",
-    "RAT_ONE",
     "IntPoly",
-    "RatPoly",
     "exact_div",
     "gcd_bezout",
     "eval_int",
     "is_nonneg",
-    "format_poly",
     "parse_poly",
     "q_integer",
     "q_shifted_factorial",

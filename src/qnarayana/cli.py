@@ -33,15 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import (
-    BothZero,
-    InvalidModulus,
-    InvalidParameter,
-    NotDivisible,
-    ParseError,
-    ProofError,
-)
-from .polyarith import format_poly
+from .errors import InvalidModulus, InvalidParameter, NotDivisible, ParseError, ProofError
 from .qobjects import q_binomial, q_catalan, q_narayana
 from .sums import FPoly, cyclic_sum, gjz_sum, thm12_sum
 from .verify import (
@@ -334,7 +326,7 @@ def result_record(result):
     record["shift"] = result.shift
     record["divisible"] = result.divisible
     if result.divisible:
-        record["quotient"] = format_poly(result.quotient)
+        record["quotient"] = str(result.quotient)
         record["quotient_nonneg"] = result.quotient_nonneg
     record["in_theorem_range"] = result.in_theorem_range
     record["sum_degree"] = result.sum_degree
@@ -544,7 +536,7 @@ def _emit_poly(poly, fmt, stream, shift=None):
         return 0
     if shift:
         stream.write(f"# normalized: value shown is the exact sum times q^{shift}\n")
-    stream.write(format_poly(poly) + "\n")
+    stream.write(f"{poly}\n")
     return 0
 
 
@@ -555,11 +547,11 @@ def _emit_proof(trace, fmt, stream):
         "n": trace.n,
         "r": trace.r,
         "j": trace.j,
-        "sum": format_poly(trace.sum_poly),
-        "modulus": format_poly(trace.modulus),
+        "sum": str(trace.sum_poly),
+        "modulus": str(trace.modulus),
         "bezout_u": str(trace.bezout_u),
         "bezout_v": str(trace.bezout_v),
-        "quotient": format_poly(trace.quotient),
+        "quotient": str(trace.quotient),
     }
     if fmt == "jsonl":
         stream.write(_dumps(record) + "\n")
@@ -635,7 +627,7 @@ def main(argv=None):
     except NotDivisible as exc:
         print(f"qnarayana: not a polynomial: {exc}", file=sys.stderr)
         return 1
-    except (InvalidParameter, InvalidModulus, ParseError, BothZero) as exc:
+    except (InvalidParameter, InvalidModulus, ParseError) as exc:
         print(f"qnarayana: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

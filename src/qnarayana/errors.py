@@ -15,10 +15,6 @@ class NotDivisible(ArithmeticError):
         self.remainder = remainder
 
 
-class BothZero(ValueError):
-    """A gcd of two zero polynomials was requested."""
-
-
 class ParseError(ValueError):
     """Malformed polynomial input.  ``position`` is a character offset for
     the text grammar, or an element index for the JSON coefficient array."""

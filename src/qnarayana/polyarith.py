@@ -1,11 +1,10 @@
 """Exact dense polynomial arithmetic in one variable q.
 
-Two coefficient domains are provided: ``IntPoly`` over arbitrary-precision
-integers and ``RatPoly`` over exact rationals.  Every operation is exact;
-nothing here rounds, truncates, or approximates.  A division that cannot be
-performed exactly raises instead of returning a best effort, because a
-nonzero remainder is a meaningful mathematical event for the congruence
-checks built on top of this module.
+One coefficient domain is provided: ``IntPoly`` over arbitrary-precision
+integers.  Every operation is exact; nothing here rounds, truncates, or
+approximates.  A division that cannot be performed exactly raises instead
+of returning a best effort, because a nonzero remainder is a meaningful
+mathematical event for the congruence checks built on top of this module.
 
 Values are immutable and normalized: trailing zero coefficients are stripped
 on construction, the zero polynomial is the empty coefficient tuple, and the
@@ -25,17 +24,18 @@ use as the reference for the fast path.
 
 The public ``IntPoly(...)`` constructor checks that every coefficient is an
 int.  Results of this module's own arithmetic (``+``, ``-``, ``*``,
-``shift``, ``exact_div``) are built by a trusted internal constructor that
-only trims: it may be given only ints produced by that arithmetic.
+``shift``, ``divmod_poly``, ``exact_div``) are built by a trusted internal
+constructor that only trims: it may be given only ints produced by that
+arithmetic.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 
-from .errors import BothZero, InvalidParameter, NotDivisible, ParseError
+from .errors import InvalidParameter, NotDivisible, ParseError
 
 NEG_INF = float("-inf")
 
@@ -136,121 +136,35 @@ class IntPoly:
         return _trusted((0,) * n + self.coeffs)
 
     def __str__(self):
-        return _render_text(self.coeffs)
+        """Descending powers in the text grammar parse_poly reads, such as
+        "-q^3 + 2*q + 1"."""
+        coeffs = self.coeffs
+        if not coeffs:
+            return "0"
+        parts = []
+        for exp in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[exp]
+            if not c:
+                continue
+            mag = -c if c < 0 else c
+            if exp == 0:
+                body = str(mag)
+            else:
+                var = "q" if exp == 1 else f"q^{exp}"
+                body = var if mag == 1 else f"{mag}*{var}"
+            if not parts:
+                parts.append(f"-{body}" if c < 0 else body)
+            else:
+                parts.append(f" - {body}" if c < 0 else f" + {body}")
+        return "".join(parts)
 
     def __repr__(self):
         return f"IntPoly({self.coeffs!r})"
 
 
-@dataclass(frozen=True)
-class RatPoly:
-    """Polynomial with exact rational coefficients, dense and ascending.
-
-    Same normalization discipline as IntPoly; every coefficient is stored as
-    a reduced Fraction.  Supports true polynomial division, which is what the
-    extended Euclidean algorithm needs.
-    """
-
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", _trimmed(cs))
-
-    @classmethod
-    def from_int_poly(cls, p):
-        return cls(p.coeffs)
-
-    def to_int_poly(self):
-        """Convert back to IntPoly; fails if any coefficient is fractional."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise NotDivisible(f"coefficient {c} is not an integer")
-            out.append(c.numerator)
-        return IntPoly(tuple(out))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def lead(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RAT_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPoly(out)
-
-    def scale(self, factor):
-        factor = Fraction(factor)
-        return RatPoly(tuple(c * factor for c in self.coeffs))
-
-    def monic(self):
-        """Rescale so the leading coefficient is 1."""
-        if not self:
-            raise InvalidParameter("the zero polynomial has no monic form")
-        return self.scale(1 / self.lead)
-
-    def __divmod__(self, other):
-        """True polynomial division: self = quotient * other + remainder,
-        with deg(remainder) < deg(other)."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = other.degree
-        lead = other.lead
-        rem = list(self.coeffs)
-        if self.degree < db:
-            return RAT_ZERO, self
-        quot = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            step = c / lead
-            quot[i - db] = step
-            for k, bc in enumerate(other.coeffs):
-                rem[i - db + k] -= step * bc
-        return RatPoly(quot), RatPoly(rem)
-
-    def __str__(self):
-        return _render_text(self.coeffs)
-
-    def __repr__(self):
-        return f"RatPoly({tuple(str(c) for c in self.coeffs)!r})"
-
-
 ZERO = IntPoly(())
 ONE = IntPoly((1,))
 Q = IntPoly((0, 1))
-RAT_ZERO = RatPoly(())
-RAT_ONE = RatPoly((1,))
 
 
 def _trusted(coeffs):
@@ -306,26 +220,20 @@ def _mul_kronecker(a, b):
             for i in range(0, nbytes * n, nbytes)]
 
 
-def exact_div(a, b):
-    """Exact quotient a / b in integer polynomials.
+def divmod_poly(a, b):
+    """Quotient and remainder of integer long division: a = quot*b + rem with
+    deg rem < deg b.
 
-    Long division from the top, checking at every step that the leading
-    coefficient divides exactly; raises NotDivisible on a fractional step or
-    a nonzero final remainder.  Never truncates.
+    Raises NotDivisible when a step would need a fractional coefficient,
+    which cannot happen when b has leading coefficient 1 or -1.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ZERO
-    da, db = a.degree, b.degree
-    if da < db:
-        raise NotDivisible(
-            f"degree {db} divisor exceeds degree {da} dividend", remainder=a
-        )
     rem = list(a.coeffs)
+    db = len(b.coeffs) - 1
     lead = b.coeffs[-1]
-    quot = [0] * (da - db + 1)
-    for i in range(da, db - 1, -1):
+    quot = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if not c:
             continue
@@ -338,39 +246,50 @@ def exact_div(a, b):
         quot[i - db] = step
         for k, bc in enumerate(b.coeffs):
             rem[i - db + k] -= step * bc
-    if any(rem):
-        raise NotDivisible("nonzero remainder", remainder=IntPoly(rem))
-    return _trusted(quot)
+    return _trusted(quot), _trusted(rem[:db])
 
 
-def gcd_bezout(a, b):
-    """Monic gcd g of two rational polynomials with Bezout cofactors.
+def exact_div(a, b):
+    """Exact quotient a / b in integer polynomials.
 
-    Returns (g, u, v) with u*a + v*b = g exactly.  The cofactors are the
-    canonical minimal-degree pair: u is reduced modulo b/g, and v is then
-    forced by the identity, which makes the output deterministic.
+    Long division from the top, checking at every step that the leading
+    coefficient divides exactly; raises NotDivisible on a fractional step or
+    a nonzero final remainder.  Never truncates.
     """
-    if not a and not b:
-        raise BothZero("gcd of two zero polynomials is undefined")
-    r0, r1 = a, b
-    u0, u1 = RAT_ONE, RAT_ZERO
-    v0, v1 = RAT_ZERO, RAT_ONE
-    while r1:
-        qt, rm = divmod(r0, r1)
-        r0, r1 = r1, rm
-        u0, u1 = u1, u0 - qt * u1
-        v0, v1 = v1, v0 - qt * v1
-    inv = 1 / r0.lead
-    g, u, v = r0.scale(inv), u0.scale(inv), v0.scale(inv)
-    if b:
-        bg, leftover = divmod(b, g)
-        if leftover:
-            raise ArithmeticError("gcd does not divide its argument")
-        _, u = divmod(u, bg)
-        v, leftover = divmod(g - u * a, b)
-        if leftover:
-            raise ArithmeticError("Bezout reduction left a remainder")
-    return g, u, v
+    if a and a.degree < b.degree:
+        raise NotDivisible(
+            f"degree {b.degree} divisor exceeds degree {a.degree} dividend", remainder=a
+        )
+    quot, rem = divmod_poly(a, b)
+    if rem:
+        raise NotDivisible("nonzero remainder", remainder=rem)
+    return quot
+
+
+def gcd_bezout(a, b, u0, v0, e):
+    """Bezout cofactors of a**e and b**e, from integer cofactors of a and b.
+
+    Given u0*a + v0*b == 1, returns (u, v) with u*a**e + v*b**e == 1, the
+    canonical pair: deg u < deg b**e, and v is then fixed by the identity.
+    Raises InvalidParameter when the base identity does not hold.
+
+    Raising the base identity to the power N = max(2e-1, 0) gives 1 as a
+    binomial sum.  The terms holding b**i with i >= e are multiples of b**e;
+    every other term holds a**(N-i) with N-i >= e, so they sum to U*a**e.
+    Reducing U modulo b**e gives u, and v = (1 - u*a**e) / b**e is then an
+    exact division.  b must have leading coefficient 1 or -1, so that the
+    reduction stays in integers.
+    """
+    if u0 * a + v0 * b != ONE:
+        raise InvalidParameter("base cofactors do not satisfy u0*a + v0*b = 1")
+    n = max(2 * e - 1, 0)
+    big_u = ZERO
+    for i in range(e):
+        term = u0 ** (n - i) * a ** (n - i - e) * (v0 * b) ** i
+        big_u = big_u + IntPoly((comb(n, i),)) * term
+    power_a, power_b = a**e, b**e
+    _, u = divmod_poly(big_u, power_b)
+    return u, exact_div(ONE - u * power_a, power_b)
 
 
 def eval_int(a, x):
@@ -386,45 +305,11 @@ def is_nonneg(a):
     return all(c >= 0 for c in a.coeffs)
 
 
-def _render_text(coeffs):
-    if not coeffs:
-        return "0"
-    parts = []
-    for exp in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[exp]
-        if not c:
-            continue
-        mag = -c if c < 0 else c
-        if exp == 0:
-            body = str(mag)
-        else:
-            var = "q" if exp == 1 else f"q^{exp}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
-    return "".join(parts)
-
-
-def format_poly(a, style="text"):
-    """Render a polynomial as text (descending powers) or JSON.
-
-    Text follows the grammar accepted by parse_poly; JSON is an object
-    {"coeffs": ["c0", "c1", ...]} with decimal-string coefficients so
-    consumers need no 64-bit assumption.
-    """
-    if style == "text":
-        return _render_text(a.coeffs)
-    if style == "json":
-        return json.dumps(
-            {"coeffs": [str(c) for c in a.coeffs]}, separators=(",", ":")
-        )
-    raise InvalidParameter(f"unknown style {style!r}; expected text or json")
-
-
 def parse_poly(s):
-    """Parse either serialization of format_poly back to an IntPoly.
+    """Parse a polynomial back to an IntPoly from either form the CLI writes:
+    the text of ``str(IntPoly)``, or the JSON object {"coeffs": ["c0", "c1",
+    ...]} of decimal-string coefficients that ``--format jsonl`` single
+    values write.
 
     A leading "{" selects the JSON form; anything else is read against the
     text grammar: terms are [sign] [coeff "*"] "q" ["^" exp] or a bare

@@ -37,9 +37,10 @@ def q_shifted_factorial(n):
     """(1-q)(1-q^2)...(1-q^n); the empty product 1 for n = 0."""
     if n < 0:
         raise InvalidParameter(f"q_shifted_factorial requires n >= 0, got {n}")
-    if n == 0:
-        return ONE
-    return q_shifted_factorial(n - 1) * IntPoly((1,) + (0,) * (n - 1) + (-1,))
+    value = ONE
+    for i in range(1, n + 1):
+        value = value * IntPoly((1,) + (0,) * (i - 1) + (-1,))
+    return value
 
 
 def q_binomial(n, k):

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidModulus, InvalidParameter, NotDivisible, ProofError
-from .polyarith import (
-    RAT_ONE,
-    IntPoly,
-    RatPoly,
-    eval_int,
-    exact_div,
-    gcd_bezout,
-    is_nonneg,
-)
+from .polyarith import ONE, Q, IntPoly, eval_int, exact_div, gcd_bezout, is_nonneg
 from .qobjects import catalan_int, narayana_int, q_binomial, q_catalan, q_integer
 from .sums import FPoly, NormalizedSum, cyclic_modulus, cyclic_sum, gjz_sum, thm12_sum
 
@@ -111,13 +103,6 @@ class CaseSpec:
         j, ns, f."""
         return [(name, value) for name in _PARAMS if (value := getattr(self, name)) is not None]
 
-    def label(self):
-        parts = [self.statement]
-        for name, value in self.params():
-            text = ",".join(str(v) for v in value) if name == "ns" else value
-            parts.append(f"{name}={text}")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -150,8 +135,8 @@ class ProofTrace:
     j: int
     sum_poly: IntPoly
     modulus: IntPoly
-    bezout_u: RatPoly
-    bezout_v: RatPoly
+    bezout_u: IntPoly
+    bezout_v: IntPoly
     quotient: IntPoly
 
 
@@ -356,16 +341,16 @@ def replay_proof(n, r, j):
     summed = cyclic_sum((n,) * r, FPoly.quadratic(j))
     if summed.shift:
         raise ProofError(f"unexpected normalization shift {summed.shift}")
-    power_a = RatPoly.from_int_poly(q_integer(2 * n + 1) ** (r - 1))
-    power_b = RatPoly.from_int_poly(q_integer(2 * n + 2) ** (r - 1))
-    g, u, v = gcd_bezout(power_a, power_b)
-    if g != RAT_ONE:
-        raise ProofError(
-            f"powers of [2n+1] and [2n+2] are not coprime at n={n}, r={r}: gcd {g}"
-        )
-    if u * power_a + v * power_b != RAT_ONE:
+    # [2n+2] - q*[2n+1] = 1 gives the base cofactors (-q, 1).
+    base_a, base_b = q_integer(2 * n + 1), q_integer(2 * n + 2)
+    try:
+        u, v = gcd_bezout(base_a, base_b, -Q, ONE, r - 1)
+    except InvalidParameter as exc:
+        raise ProofError(f"[2n+2] - q*[2n+1] is not 1 at n={n}") from exc
+    power_a, power_b = base_a ** (r - 1), base_b ** (r - 1)
+    if u * power_a + v * power_b != ONE:
         raise ProofError(f"Bezout identity failed to re-expand at n={n}, r={r}")
-    modulus = q_binomial(2 * n + 1, n) * q_integer(2 * n + 1) ** (r - 1)
+    modulus = q_binomial(2 * n + 1, n) * power_a
     try:
         quotient = exact_div(summed.poly, modulus)
     except NotDivisible as exc:

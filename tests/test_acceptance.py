@@ -13,9 +13,8 @@ from qnarayana.cli import SweepSpec, emit_report, exit_code, run_sweep
 from qnarayana.polyarith import (
     ONE,
     Q,
-    RAT_ONE,
+    ZERO,
     IntPoly,
-    RatPoly,
     eval_int,
     exact_div,
 )
@@ -126,16 +125,17 @@ def test_criterion_6_proof_replay():
     with criterion(6):
         for n in range(1, 7):
             for r in range(1, 4):
-                a = RatPoly.from_int_poly(q_integer(2 * n + 1) ** (r - 1))
-                b = RatPoly.from_int_poly(q_integer(2 * n + 2) ** (r - 1))
+                a = q_integer(2 * n + 1) ** (r - 1)
+                b = q_integer(2 * n + 2) ** (r - 1)
                 for j in range(2 * r):
                     trace = replay_proof(n, r, j)
-                    assert trace.bezout_u * a + trace.bezout_v * b == RAT_ONE
+                    assert trace.bezout_u * a + trace.bezout_v * b == ONE
                     assert isinstance(trace.quotient, IntPoly)
                     assert trace.quotient * trace.modulus == trace.sum_poly
         pinned = replay_proof(1, 2, 0)
-        assert pinned.bezout_u == RatPoly.from_int_poly(-Q)
-        assert pinned.bezout_v == RAT_ONE
+        assert pinned.bezout_u == -Q
+        assert pinned.bezout_v == ONE
+        assert replay_proof(1, 1, 0).bezout_u == ZERO
 
 
 def test_criterion_7_pascal_equals_factorial_route():

@@ -1,6 +1,7 @@
 """Golden report bytes: sha256 digests of all three report formats for one
 small sweep per statement and for a hand-built report holding a
-non-divisible verdict and error rows.
+non-divisible verdict and error rows, plus the text and jsonl output of
+three proof replays.
 
 The sweeps are chosen to reach exploratory rows, negative quotients, a
 clipped text quotient, a zero sum, the zero exponent polynomial and a
@@ -84,6 +85,21 @@ SWEEPS = {
     ),
 }
 
+PROOFS = {
+    (1, 1, 0): {
+        "text": "fe0b8dd8879652f5a866f4269aed1334f6963b6c9ee5105baa4b6233eb086332",
+        "jsonl": "330012cd90d8c4ed91365dce66b08a63237ecc0252e8129efcc48fdd716b111a",
+    },
+    (12, 3, 5): {
+        "text": "1876bb7308774b9d0052c4e79948918f14ca8037f215f4ce728688631a0be7c2",
+        "jsonl": "d50cfb9122795e3d667314caefc3eff1b80ff114cfe5689cca2ae5e61c1ceadd",
+    },
+    (8, 4, 7): {
+        "text": "21bb6577913d02d3085bc3b140169667461e22aeb7a4ce80586ebaf7ae9498d0",
+        "jsonl": "2fa517024f5e08bf3694decfd6d58df3f3533a60629739e02aeb52820b62962c",
+    },
+}
+
 HAND_BUILT = {
     "text": "5464ed6d9f710e5bf543c9f812b61831b06de8115b2d022ab4db443f721b44b7",
     "jsonl": "5f8024d74ad934ec93934ae48c21d367ac94d9c6dd157353ba6c44a457ed8050",
@@ -133,3 +149,11 @@ def test_hand_built_report_bytes(fmt):
     buffer = io.StringIO()
     emit_report(hand_built_report(), fmt, buffer)
     assert stable_digest(buffer.getvalue()) == HAND_BUILT[fmt]
+
+
+@pytest.mark.parametrize("params", list(PROOFS))
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_proof_bytes(params, fmt, capsys):
+    n, r, j = params
+    assert main(["proof", "--n", str(n), "--r", str(r), "--j", str(j), "--format", fmt]) == 0
+    assert stable_digest(capsys.readouterr().out) == PROOFS[params][fmt]

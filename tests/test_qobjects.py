@@ -2,6 +2,8 @@
 with the factorial-quotient route as an independent oracle for the
 Pascal-recurrence Gaussian binomials."""
 
+import sys
+
 import pytest
 
 from qnarayana.errors import InvalidParameter
@@ -57,6 +59,22 @@ class TestQShiftedFactorial:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameter):
             q_shifted_factorial(-1)
+
+    def test_cold_cache_needs_no_recursion(self):
+        expected = ONE
+        for i in range(1, 201):
+            expected = expected * (ONE - IntPoly.monomial(i))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        q_shifted_factorial.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            value = q_shifted_factorial(200)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == expected
 
 
 class TestQBinomial:

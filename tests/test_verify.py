@@ -2,16 +2,9 @@
 
 import pytest
 
-from qnarayana.errors import InvalidModulus, InvalidParameter
-from qnarayana.polyarith import (
-    RAT_ONE,
-    ONE,
-    Q,
-    ZERO,
-    IntPoly,
-    RatPoly,
-    exact_div,
-)
+from qnarayana import verify
+from qnarayana.errors import InvalidModulus, InvalidParameter, ProofError
+from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div
 from qnarayana.qobjects import q_binomial, q_integer
 from qnarayana.sums import FPoly, NormalizedSum, cyclic_modulus, cyclic_sum
 from qnarayana.verify import (
@@ -104,12 +97,6 @@ class TestCaseSpec:
         case = CaseSpec("conj31", ns=[1, 2])
         assert case.ns == (1, 2)
 
-    def test_label(self):
-        assert CaseSpec("thm12", n=2, r=1, j=0).label() == "thm12 n=2 r=1 j=0"
-        assert CaseSpec("conj34", ns=(1, 2), f=FPoly((0, 0, 2))).label() == (
-            "conj34 ns=1,2 f=0,0,2"
-        )
-
 
 class TestVerifyCase:
     def test_thm11_pin(self):
@@ -183,29 +170,34 @@ class TestVerifyCase:
 class TestReplayProof:
     def test_pinned_cofactors(self):
         trace = replay_proof(1, 2, 0)
-        assert trace.bezout_u == RatPoly((0, -1))
-        assert trace.bezout_v == RAT_ONE
+        assert trace.bezout_u == -Q
+        assert trace.bezout_v == ONE
 
     def test_pinned_trivial_power_case(self):
         trace = replay_proof(1, 1, 0)
         assert trace.modulus == IntPoly((1, 1, 1))
         assert trace.quotient == IntPoly((0, 0, 1))
-        assert trace.bezout_u == RatPoly(())
-        assert trace.bezout_v == RAT_ONE
+        assert trace.bezout_u == ZERO
+        assert trace.bezout_v == ONE
 
     def test_trace_identities_reexpand(self):
         for n in (1, 2, 3):
             for r in (1, 2):
                 for j in range(2 * r):
                     trace = replay_proof(n, r, j)
-                    power_a = RatPoly.from_int_poly(q_integer(2 * n + 1) ** (r - 1))
-                    power_b = RatPoly.from_int_poly(q_integer(2 * n + 2) ** (r - 1))
-                    assert trace.bezout_u * power_a + trace.bezout_v * power_b == RAT_ONE
+                    power_a = q_integer(2 * n + 1) ** (r - 1)
+                    power_b = q_integer(2 * n + 2) ** (r - 1)
+                    assert trace.bezout_u * power_a + trace.bezout_v * power_b == ONE
                     assert trace.quotient * trace.modulus == trace.sum_poly
                     expected_modulus = q_binomial(2 * n + 1, n) * q_integer(2 * n + 1) ** (
                         r - 1
                     )
                     assert trace.modulus == expected_modulus
+
+    def test_failed_base_identity_raises(self, monkeypatch):
+        monkeypatch.setattr(verify, "q_integer", lambda m: IntPoly((2,) * m))
+        with pytest.raises(ProofError, match="is not 1"):
+            replay_proof(1, 2, 0)
 
     def test_rejects_out_of_range_parameters(self):
         with pytest.raises(InvalidParameter):
