@@ -14,7 +14,6 @@ from .errors import (
     InvalidModulus,
     InvalidParameter,
     NotDivisible,
-    ParseError,
     ProofError,
 )
 from .polyarith import (
@@ -27,7 +26,6 @@ from .polyarith import (
     exact_div,
     gcd_bezout,
     is_nonneg,
-    parse_poly,
 )
 from .qobjects import (
     catalan_int,
@@ -39,7 +37,6 @@ from .qobjects import (
     q_shifted_factorial,
 )
 from .sums import (
-    FPoly,
     NormalizedSum,
     binom2,
     cyclic_modulus,
@@ -64,7 +61,6 @@ __all__ = [
     "InvalidModulus",
     "InvalidParameter",
     "NotDivisible",
-    "ParseError",
     "ProofError",
     "NEG_INF",
     "ZERO",
@@ -75,7 +71,6 @@ __all__ = [
     "gcd_bezout",
     "eval_int",
     "is_nonneg",
-    "parse_poly",
     "q_integer",
     "q_shifted_factorial",
     "q_binomial",
@@ -83,7 +78,6 @@ __all__ = [
     "q_catalan",
     "narayana_int",
     "catalan_int",
-    "FPoly",
     "NormalizedSum",
     "binom2",
     "thm12_sum",

@@ -7,7 +7,7 @@ replayed proof trace.
 Report formats
     text   human-readable table with "#"-prefixed header and summary lines
     jsonl  one JSON object per line: header, meta, one record per case,
-           summary; polynomial values are text-grammar strings and big
+           summary; polynomial values are text-form strings and big
            coefficients always serialize as decimal strings
     csv    fixed column set, verdict rows only (errors and the summary
            appear in the other formats)
@@ -33,9 +33,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import InvalidModulus, InvalidParameter, NotDivisible, ParseError, ProofError
+from .errors import InvalidModulus, InvalidParameter, NotDivisible, ProofError
+from .polyarith import IntPoly
 from .qobjects import q_binomial, q_catalan, q_narayana
-from .sums import FPoly, cyclic_sum, gjz_sum, thm12_sum
+from .sums import cyclic_sum, gjz_sum, thm12_sum
 from .verify import (
     STATEMENTS,
     CaseSpec,
@@ -74,8 +75,8 @@ class SweepSpec:
     per-index bound ni_max describes the chain statements; n_range and
     r_range describe the Narayana-power statements.  j_mode "theorem" sweeps
     exactly the j values the statement claims; "extended" sweeps 0..j_max.
-    Output settings (format, jobs, out) never influence the expansion, so
-    they are excluded from the echoed description.
+    Output settings (format, jobs) never influence the expansion, so they
+    are excluded from the echoed description.
     """
 
     statement: str
@@ -89,7 +90,6 @@ class SweepSpec:
     f_suite: tuple = None
     format: str = "text"
     jobs: int = 1
-    out: str = None
 
     def validate(self):
         fields = get_statement(self.statement).fields
@@ -136,8 +136,8 @@ class SweepSpec:
             if not self.f_suite:
                 raise InvalidParameter(f"{self.statement} requires a nonempty f-suite")
             for f in self.f_suite:
-                if not isinstance(f, FPoly):
-                    raise InvalidParameter(f"f-suite entries must be FPoly, got {f!r}")
+                if not isinstance(f, IntPoly):
+                    raise InvalidParameter(f"f-suite entries must be IntPoly, got {f!r}")
         elif self.f_suite is not None:
             raise InvalidParameter(f"{self.statement} does not take --f-suite")
 
@@ -160,7 +160,7 @@ class SweepSpec:
                 "j=theorem" if self.j_mode == "theorem" else f"j=0..{self.j_max}"
             )
         if self.f_suite is not None:
-            parts.append("f=" + ";".join(str(f) for f in self.f_suite))
+            parts.append("f=" + ";".join(_cell(f.coeffs) for f in self.f_suite))
         return " ".join(parts)
 
     def _chains(self):
@@ -426,8 +426,14 @@ def _parse_int_list(text):
     return tuple(int(part.strip()) for part in text.split(","))
 
 
+def _parse_f(text):
+    """An exponent polynomial in k from its ascending coefficients, such as
+    "0,0,2" for 2k^2."""
+    return IntPoly(_parse_int_list(text))
+
+
 def _parse_f_suite(text):
-    return tuple(FPoly.parse(part) for part in text.split(";"))
+    return tuple(_parse_f(part) for part in text.split(";"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -491,8 +497,8 @@ def build_parser():
     k.add_argument("--ns", type=_parse_int_list, required=True, metavar="N1,N2,...")
     k.add_argument(
         "--f",
-        type=FPoly.parse,
-        default=FPoly(()),
+        type=_parse_f,
+        default=IntPoly(()),
         metavar="C0,C1,...",
         help="exponent polynomial in k, ascending coefficients (default 0)",
     )
@@ -581,7 +587,6 @@ def _sweep_spec(args):
         j_mode=args.j_mode,
         format=args.format,
         jobs=args.jobs,
-        out=args.out,
         **fields,
     )
 
@@ -627,7 +632,7 @@ def main(argv=None):
     except NotDivisible as exc:
         print(f"qnarayana: not a polynomial: {exc}", file=sys.stderr)
         return 1
-    except (InvalidParameter, InvalidModulus, ParseError) as exc:
+    except (InvalidParameter, InvalidModulus) as exc:
         print(f"qnarayana: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -15,15 +15,6 @@ class NotDivisible(ArithmeticError):
         self.remainder = remainder
 
 
-class ParseError(ValueError):
-    """Malformed polynomial input.  ``position`` is a character offset for
-    the text grammar, or an element index for the JSON coefficient array."""
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
-
-
 class InvalidModulus(ValueError):
     """Divisibility was requested modulo a polynomial whose constant term is
     not 1, which the divisibility checks here do not cover."""

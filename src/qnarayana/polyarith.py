@@ -31,11 +31,10 @@ arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InvalidParameter, NotDivisible, ParseError
+from .errors import InvalidParameter, NotDivisible
 
 NEG_INF = float("-inf")
 
@@ -72,21 +71,9 @@ class IntPoly:
                 raise TypeError(f"integer coefficient expected, got {c!r}")
         object.__setattr__(self, "coeffs", _trimmed([int(c) for c in cs]))
 
-    @classmethod
-    def monomial(cls, exponent, coefficient=1):
-        """The polynomial coefficient * q**exponent."""
-        if exponent < 0:
-            raise InvalidParameter(f"exponent must be >= 0, got {exponent}")
-        return cls((0,) * exponent + (coefficient,))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def lead(self):
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0
 
     @property
     def constant(self):
@@ -136,8 +123,8 @@ class IntPoly:
         return _trusted((0,) * n + self.coeffs)
 
     def __str__(self):
-        """Descending powers in the text grammar parse_poly reads, such as
-        "-q^3 + 2*q + 1"."""
+        """Descending powers, such as "-q^3 + 2*q + 1": the form every
+        report writes a polynomial in."""
         coeffs = self.coeffs
         if not coeffs:
             return "0"
@@ -303,105 +290,3 @@ def eval_int(a, x):
 def is_nonneg(a):
     """True iff every coefficient is >= 0 (vacuously true for zero)."""
     return all(c >= 0 for c in a.coeffs)
-
-
-def parse_poly(s):
-    """Parse a polynomial back to an IntPoly from either form the CLI writes:
-    the text of ``str(IntPoly)``, or the JSON object {"coeffs": ["c0", "c1",
-    ...]} of decimal-string coefficients that ``--format jsonl`` single
-    values write.
-
-    A leading "{" selects the JSON form; anything else is read against the
-    text grammar: terms are [sign] [coeff "*"] "q" ["^" exp] or a bare
-    integer, joined by " + " or " - ".  Errors carry a character position
-    (text) or an array index (JSON).
-    """
-    stripped = s.strip()
-    if not stripped:
-        raise ParseError("empty polynomial string", position=0)
-    if stripped[0] == "{":
-        return _parse_json(stripped)
-    return _parse_text(s)
-
-
-def _parse_json(s):
-    try:
-        obj = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from None
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ParseError("expected an object with a 'coeffs' array", position=0)
-    arr = obj["coeffs"]
-    if not isinstance(arr, list):
-        raise ParseError("'coeffs' must be an array", position=0)
-    out = []
-    for idx, c in enumerate(arr):
-        if isinstance(c, bool) or not isinstance(c, (str, int)):
-            raise ParseError(f"coefficient {idx} must be a decimal string", position=idx)
-        try:
-            out.append(int(c))
-        except ValueError:
-            raise ParseError(f"bad coefficient {c!r}", position=idx) from None
-    return IntPoly(tuple(out))
-
-
-def _parse_text(s):
-    n = len(s)
-
-    def skip_ws(i):
-        while i < n and s[i] == " ":
-            i += 1
-        return i
-
-    def read_digits(i, what):
-        j = i
-        while j < n and s[j].isdigit():
-            j += 1
-        if j == i:
-            raise ParseError(f"expected {what} at position {i}", position=i)
-        return int(s[i:j]), j
-
-    acc = {}
-    i = skip_ws(0)
-    first = True
-    while True:
-        sign = 1
-        if i >= n:
-            raise ParseError(f"expected a term at position {i}", position=i)
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i = skip_ws(i + 1)
-        elif not first:
-            raise ParseError(f"expected '+' or '-' at position {i}", position=i)
-        coeff = None
-        if i < n and s[i].isdigit():
-            coeff, i = read_digits(i, "a coefficient")
-            j = skip_ws(i)
-            if j < n and s[j] == "q":
-                raise ParseError(
-                    f"expected '*' between coefficient and 'q' at position {j}", position=j
-                )
-            if j < n and s[j] == "*":
-                i = skip_ws(j + 1)
-                if i >= n or s[i] != "q":
-                    raise ParseError(f"expected 'q' after '*' at position {i}", position=i)
-        if i < n and s[i] == "q":
-            if coeff is None:
-                coeff = 1
-            i += 1
-            exp = 1
-            if i < n and s[i] == "^":
-                exp, i = read_digits(i + 1, "an exponent")
-        elif coeff is not None:
-            exp = 0
-        else:
-            raise ParseError(f"expected a term at position {i}", position=i)
-        acc[exp] = acc.get(exp, 0) + sign * coeff
-        i = skip_ws(i)
-        if i >= n:
-            break
-        first = False
-    out = [0] * (max(acc) + 1)
-    for exp, c in acc.items():
-        out[exp] = c
-    return IntPoly(tuple(out))

@@ -7,8 +7,8 @@ triangular number k(k-1)/2.  Three families are provided:
 * ``thm12_sum``: signed sum of r-th powers of q-Narayana polynomials.
 * ``cyclic_sum``: signed sum of products of adjacent-index Gaussian binomial
   pairs over a cyclically closed index chain (last index wraps to the
-  first), with an arbitrary integer exponent polynomial f(k); paired with
-  ``cyclic_modulus``.
+  first), with an arbitrary integer exponent polynomial f(k), an ``IntPoly``
+  read as a polynomial in k; paired with ``cyclic_modulus``.
 * ``gjz_sum``: signed sum of central Gaussian binomial products over an open
   chain (last index pairs with 0), carrying a q-shifted-factorial prefactor
   that is applied as one exact division at the end so a failed division is a
@@ -28,63 +28,14 @@ and is therefore coprime to q.
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import InvalidParameter, ParseError
-from .polyarith import ONE, ZERO, IntPoly, exact_div
+from .errors import InvalidParameter
+from .polyarith import ONE, ZERO, IntPoly, eval_int, exact_div
 from .qobjects import q_binomial, q_integer, q_narayana, q_shifted_factorial
 
 
 def binom2(k):
     """k(k-1)/2 for any integer k; always a nonnegative integer."""
     return k * (k - 1) // 2
-
-
-@dataclass(frozen=True)
-class FPoly:
-    """Integer-coefficient polynomial in the summation index k.
-
-    ``coeffs[i]`` is the coefficient of k**i, ascending; the zero polynomial
-    is the empty tuple.  The command-line form is the comma-separated
-    coefficient list, so "0,0,2" means f(k) = 2k^2.
-    """
-
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def parse(cls, text):
-        """Parse a comma-separated ascending coefficient list."""
-        parts = text.split(",")
-        out = []
-        for idx, part in enumerate(parts):
-            try:
-                out.append(int(part.strip()))
-            except ValueError:
-                raise ParseError(
-                    f"bad exponent-polynomial coefficient {part.strip()!r}", position=idx
-                ) from None
-        return cls(tuple(out))
-
-    @classmethod
-    def quadratic(cls, j):
-        """f(k) = j * k**2."""
-        return cls((0, 0, j))
-
-    def __call__(self, k):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * k + c
-        return acc
-
-    def __str__(self):
-        return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
 
 @dataclass(frozen=True)
@@ -146,7 +97,7 @@ def cyclic_sum(ns, f):
     chain = ns + (ns[0],)
     n1 = ns[0]
     window = range(-n1, n1 + 1)
-    exponents = [f(k) + binom2(k) for k in window]
+    exponents = [eval_int(f, k) + binom2(k) for k in window]
     shift = max(0, -min(exponents))
     total = ZERO
     for k, exponent in zip(window, exponents):

@@ -25,7 +25,7 @@ from math import comb
 from .errors import InvalidModulus, InvalidParameter, NotDivisible, ProofError
 from .polyarith import ONE, Q, IntPoly, eval_int, exact_div, gcd_bezout, is_nonneg
 from .qobjects import catalan_int, narayana_int, q_binomial, q_catalan, q_integer
-from .sums import FPoly, NormalizedSum, cyclic_modulus, cyclic_sum, gjz_sum, thm12_sum
+from .sums import cyclic_modulus, cyclic_sum, gjz_sum, thm12_sum
 
 # Exponent polynomials swept for conj34 when --f-suite is not given: zero,
 # the quadratic recovering the j=1 theorem case, a mixed quadratic, k^3, whose
@@ -33,11 +33,11 @@ from .sums import FPoly, NormalizedSum, cyclic_modulus, cyclic_sum, gjz_sum, thm
 # k^4 - k, which never shifts because k^4 - k + k(k-1)/2 >= 0 for every
 # integer k.
 DEFAULT_F_SUITE = (
-    FPoly(()),
-    FPoly((0, 0, 1)),
-    FPoly((0, 1, 2)),
-    FPoly((0, 0, 0, 1)),
-    FPoly((0, -1, 0, 0, 1)),
+    IntPoly(()),
+    IntPoly((0, 0, 1)),
+    IntPoly((0, 1, 2)),
+    IntPoly((0, 0, 0, 1)),
+    IntPoly((0, -1, 0, 0, 1)),
 )
 
 # CaseSpec parameters in record order.
@@ -61,7 +61,7 @@ class CaseSpec:
     r: int = None
     j: int = None
     ns: tuple = None
-    f: FPoly = None
+    f: IntPoly = None
 
     def __post_init__(self):
         if self.ns is not None:
@@ -87,8 +87,8 @@ class CaseSpec:
             for v in self.ns:
                 if not isinstance(v, int) or v < 1:
                     raise InvalidParameter(f"ns entries must be integers >= 1, got {v!r}")
-        if self.f is not None and not isinstance(self.f, FPoly):
-            raise InvalidParameter(f"f must be an FPoly, got {self.f!r}")
+        if self.f is not None and not isinstance(self.f, IntPoly):
+            raise InvalidParameter(f"f must be an IntPoly, got {self.f!r}")
 
     def in_theorem_range(self):
         """True when the parameters fall inside the range the statement
@@ -140,18 +140,17 @@ class ProofTrace:
     quotient: IntPoly
 
 
-def check_divisibility(s, modulus):
-    """Exact quotient of a sum by a modulus with constant term 1, or None
-    when the modulus does not divide the sum.
+def check_divisibility(poly, modulus):
+    """Exact quotient of a polynomial by a modulus with constant term 1, or
+    None when the modulus does not divide it.
 
-    Accepts a NormalizedSum or a bare IntPoly.  The quotient is
-    re-multiplied against the modulus and compared before it is returned.
+    The quotient is re-multiplied against the modulus and compared before it
+    is returned.
     """
     if not modulus or modulus.constant != 1:
         raise InvalidModulus(
             f"modulus must have constant term 1, got {modulus}"
         )
-    poly = s.poly if isinstance(s, NormalizedSum) else s
     try:
         quotient = exact_div(poly, modulus)
     except NotDivisible:
@@ -161,12 +160,9 @@ def check_divisibility(s, modulus):
     return quotient
 
 
-def _poly_verdict(case, summed, quotient):
-    """Verdict on a built sum, given its quotient (None if not divisible)."""
-    if isinstance(summed, NormalizedSum):
-        poly, shift = summed.poly, summed.shift
-    else:
-        poly, shift = summed, 0
+def _poly_verdict(case, poly, shift, quotient):
+    """Verdict on a built sum, given its normalization shift and its quotient
+    (None if not divisible)."""
     return Verdict(
         case=case,
         sum_degree=poly.degree if poly else -1,
@@ -211,7 +207,7 @@ def _verify_thm11(case):
 
 def _verify_narayana_power(case):
     summed = thm12_sum(case.n, case.r, case.j)
-    return _poly_verdict(case, summed, check_divisibility(summed, q_catalan(case.n)))
+    return _poly_verdict(case, summed, 0, check_divisibility(summed, q_catalan(case.n)))
 
 
 def _verify_conj31(case):
@@ -230,7 +226,7 @@ def _verify_conj31(case):
     modulus = comb(n1 + ns[-1] + 1, n1)
     for i in range(len(ns) - 1):
         modulus *= ns[i] + ns[i + 1] + 1
-    if eval_int(cyclic_sum(ns, FPoly(())).poly, 1) != total:
+    if eval_int(cyclic_sum(ns, IntPoly(())).poly, 1) != total:
         raise ArithmeticError(
             f"integer and polynomial routes disagree on the sum at ns={ns}"
         )
@@ -240,13 +236,15 @@ def _verify_conj31(case):
 
 
 def _verify_conj33(case):
-    summed = cyclic_sum(case.ns, FPoly.quadratic(case.j))
-    return _poly_verdict(case, summed, check_divisibility(summed, cyclic_modulus(case.ns)))
+    summed = cyclic_sum(case.ns, IntPoly((0, 0, case.j)))
+    quotient = check_divisibility(summed.poly, cyclic_modulus(case.ns))
+    return _poly_verdict(case, summed.poly, summed.shift, quotient)
 
 
 def _verify_conj34(case):
     summed = cyclic_sum(case.ns, case.f)
-    return _poly_verdict(case, summed, check_divisibility(summed, cyclic_modulus(case.ns)))
+    quotient = check_divisibility(summed.poly, cyclic_modulus(case.ns))
+    return _poly_verdict(case, summed.poly, summed.shift, quotient)
 
 
 def _verify_gjz(case):
@@ -254,7 +252,7 @@ def _verify_gjz(case):
         poly = gjz_sum(case.ns, case.j)
     except NotDivisible:
         return Verdict(case, -1, 0, False, None, None, case.in_theorem_range())
-    return _poly_verdict(case, poly, poly)
+    return _poly_verdict(case, poly, 0, poly)
 
 
 @dataclass(frozen=True)
@@ -338,7 +336,7 @@ def replay_proof(n, r, j):
         raise InvalidParameter(f"n and r must be >= 1, got n={n}, r={r}")
     if not 0 <= j <= 2 * r - 1:
         raise InvalidParameter(f"j must satisfy 0 <= j <= 2r-1, got {j}")
-    summed = cyclic_sum((n,) * r, FPoly.quadratic(j))
+    summed = cyclic_sum((n,) * r, IntPoly((0, 0, j)))
     if summed.shift:
         raise ProofError(f"unexpected normalization shift {summed.shift}")
     # [2n+2] - q*[2n+1] = 1 gives the base cofactors (-q, 1).

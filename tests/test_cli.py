@@ -24,8 +24,7 @@ from qnarayana.cli import (
     summarize,
 )
 from qnarayana.errors import InvalidParameter
-from qnarayana.polyarith import IntPoly, parse_poly
-from qnarayana.sums import FPoly
+from qnarayana.polyarith import IntPoly
 from qnarayana.verify import DEFAULT_F_SUITE, CaseSpec, Verdict, verify_case
 
 CSV_HEADER = (
@@ -92,7 +91,7 @@ class TestSweepSpecExpansion:
 
     def test_echo_excludes_output_settings(self):
         one = SweepSpec("thm12", n_range=(1, 3), r_range=(1, 2), jobs=1, format="text")
-        two = SweepSpec("thm12", n_range=(1, 3), r_range=(1, 2), jobs=7, format="csv", out="x")
+        two = SweepSpec("thm12", n_range=(1, 3), r_range=(1, 2), jobs=7, format="csv")
         assert one.echo() == two.echo() == "statement=thm12 n=1..3 r=1..2 j=theorem"
 
     def test_validation_errors(self):
@@ -226,14 +225,13 @@ class TestReports:
     def test_round_trip_of_report_polynomials(self):
         spec = SweepSpec("conj33", m_range=(1, 2), ni_max=2)
         report = run_sweep(spec)
-        for line in render(report, "jsonl").splitlines():
-            record = json.loads(line)
-            if "quotient" in record:
-                assert parse_poly(record["quotient"]).coeffs
-        for verdict in report.results:
-            record = result_record(verdict)
-            if "quotient" in record:
-                assert parse_poly(record["quotient"]) == verdict.quotient
+        lines = stable_lines(render(report, "jsonl"))[1:-1]
+        assert len(lines) == len(report.results)
+        assert any(verdict.divisible for verdict in report.results)
+        for verdict, line in zip(report.results, lines):
+            if verdict.divisible:
+                text = str(verdict.quotient)
+                assert json.loads(line)["quotient"] == result_record(verdict)["quotient"] == text
 
     def test_error_records_in_jsonl(self):
         bad = CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom")
@@ -371,6 +369,12 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as excinfo:
             main(["sum", "thm12", "--n", "1"])
         assert excinfo.value.code == 1
+
+    def test_malformed_exponent_polynomial_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sum", "cyclic", "--ns", "2", "--f", "0,x,2"])
+        assert excinfo.value.code == 1
+        assert "argument --f: invalid" in capsys.readouterr().err
 
     def test_verify_rejects_mixed_chain_flags(self, capsys):
         assert main(["verify", "conj31", "--ns", "1,2", "--ni-max", "3"]) == 1

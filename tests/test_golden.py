@@ -16,7 +16,7 @@ import io
 import pytest
 
 from qnarayana.cli import CaseError, Report, emit_report, main, summarize
-from qnarayana.sums import FPoly
+from qnarayana.polyarith import IntPoly
 from qnarayana.verify import CaseSpec, Verdict, verify_case
 
 SWEEPS = {
@@ -123,7 +123,7 @@ def hand_built_report():
     not_divisible = Verdict(CaseSpec("thm12", n=2, r=1, j=1), 4, 0, False, None, None, True)
     failed = CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom")
     chain_error = CaseError(
-        CaseSpec("conj34", ns=(1, 2), f=FPoly(())), "NotDivisible", "x" * 80
+        CaseSpec("conj34", ns=(1, 2), f=IntPoly(())), "NotDivisible", "x" * 80
     )
     results = (passing, not_divisible, failed, chain_error)
     return Report(

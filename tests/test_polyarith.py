@@ -1,7 +1,6 @@
 """Ring axioms, exact division, Bezout cofactors, evaluation, and
 serialization behavior of the polynomial core."""
 
-import json
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qnarayana.errors import InvalidParameter, NotDivisible, ParseError
+from qnarayana.errors import InvalidParameter, NotDivisible
 from qnarayana.polyarith import (
     KRONECKER_THRESHOLD,
     NEG_INF,
@@ -23,7 +22,6 @@ from qnarayana.polyarith import (
     gcd_bezout,
     is_nonneg,
     mul_schoolbook,
-    parse_poly,
 )
 from qnarayana.qobjects import q_binomial
 
@@ -69,15 +67,9 @@ class TestConstruction:
     def test_degree_lead_constant(self):
         p = IntPoly((3, 0, -2))
         assert p.degree == 2
-        assert p.lead == -2
+        assert p.coeffs[-1] == -2
         assert p.constant == 3
-        assert ZERO.lead == 0 and ZERO.constant == 0
-
-    def test_monomial(self):
-        assert IntPoly.monomial(3) == IntPoly((0, 0, 0, 1))
-        assert IntPoly.monomial(0, 5) == IntPoly((5,))
-        with pytest.raises(InvalidParameter):
-            IntPoly.monomial(-1)
+        assert ZERO.constant == 0
 
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(TypeError):
@@ -301,56 +293,11 @@ class TestFormat:
         assert str(IntPoly((0, -7))) == "-7*q"
 
 
-class TestParse:
-    def test_pinned(self):
-        assert parse_poly("q^2 + 1") == IntPoly((1, 0, 1))
-
-    def test_basic_forms(self):
-        assert parse_poly("0") == ZERO
-        assert parse_poly("q") == Q
-        assert parse_poly("-q") == IntPoly((0, -1))
-        assert parse_poly("7") == IntPoly((7,))
-        assert parse_poly("3*q^2 - 2") == IntPoly((-2, 0, 3))
-        assert parse_poly("+q + 1") == IntPoly((1, 1))
-
-    def test_repeated_exponents_accumulate(self):
-        assert parse_poly("q + q") == IntPoly((0, 2))
-        assert parse_poly("q - q") == ZERO
-
-    def test_json_form(self):
-        assert parse_poly('{"coeffs":["1","0","1"]}') == IntPoly((1, 0, 1))
-        assert parse_poly('{"coeffs":[]}') == ZERO
-
-    def test_error_positions(self):
-        with pytest.raises(ParseError) as excinfo:
-            parse_poly("")
-        assert excinfo.value.position == 0
-        with pytest.raises(ParseError) as excinfo:
-            parse_poly("q^")
-        assert excinfo.value.position == 2
-        with pytest.raises(ParseError) as excinfo:
-            parse_poly("2q")
-        assert excinfo.value.position == 1
-        with pytest.raises(ParseError) as excinfo:
-            parse_poly("q + ")
-        assert excinfo.value.position == 4
-        with pytest.raises(ParseError) as excinfo:
-            parse_poly("q^-1")
-        assert excinfo.value.position == 2
-
-    def test_json_error_positions_are_indices(self):
-        with pytest.raises(ParseError) as excinfo:
-            parse_poly('{"coeffs":["1","x"]}')
-        assert excinfo.value.position == 1
-        with pytest.raises(ParseError):
-            parse_poly('{"coeffs":"1"}')
-        with pytest.raises(ParseError):
-            parse_poly('{"other":[]}')
-
-    @given(int_polys)
-    def test_text_round_trip(self, a):
-        assert parse_poly(str(a)) == a
-
-    @given(int_polys)
-    def test_json_round_trip(self, a):
-        assert parse_poly(json.dumps({"coeffs": [str(c) for c in a.coeffs]})) == a
+    @given(wide_int_polys)
+    def test_text_is_lossless(self, a):
+        # No two distinct integer polynomials with coefficients below 2**B in
+        # size agree at q = 2**(B+2), so matching the value there pins every
+        # coefficient of the text.
+        bits = max((abs(c).bit_length() for c in a.coeffs), default=0)
+        x = 2 ** (bits + 2)
+        assert eval(str(a).replace("^", "**"), {"q": x}) == eval_int(a, x)
