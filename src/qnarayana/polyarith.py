@@ -22,17 +22,26 @@ the unpacked coefficients are exact for either sign and any size.  Smaller
 products use the schoolbook loop ``mul_schoolbook``, which the tests also
 use as the reference for the fast path.
 
+Every q-analogue built on this module is a ratio of factors (1 - q^t), so
+two one-pass kernels handle such a factor without a general product or long
+division: ``mul_one_minus_qt`` subtracts a shifted copy, and
+``div_one_minus_qt`` runs the recurrence c[i] += c[i-t] and checks that the
+top t coefficients vanish.  ``sum_shifted`` adds many shifted polynomials
+into one coefficient list.
+
 The public ``IntPoly(...)`` constructor checks that every coefficient is an
 int.  Results of this module's own arithmetic (``+``, ``-``, ``*``,
-``shift``, ``divmod_poly``, ``exact_div``) are built by a trusted internal
-constructor that only trims: it may be given only ints produced by that
-arithmetic.
+``shift``, ``divmod_poly``, ``exact_div`` and the kernels above) are built
+by a trusted internal constructor that only trims: it may be given only
+ints produced by that arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
+from operator import add, sub
 
 from .errors import InvalidParameter, NotDivisible
 
@@ -251,6 +260,52 @@ def exact_div(a, b):
     if rem:
         raise NotDivisible("nonzero remainder", remainder=rem)
     return quot
+
+
+def mul_one_minus_qt(a, t):
+    """a * (1 - q**t) for t >= 1, in one subtract pass."""
+    if t < 1:
+        raise InvalidParameter(f"t must be >= 1, got {t}")
+    cs = a.coeffs
+    out = [*cs, *(0,) * t]
+    out[t:] = map(sub, out[t:], cs)
+    return _trusted(out)
+
+
+def div_one_minus_qt(a, t):
+    """Exact quotient a / (1 - q**t) for t >= 1, in one add pass.
+
+    The quotient's coefficients satisfy c[i] = a[i] + c[i-t], a running sum
+    over each residue class of i mod t.  The last sum of each class is the
+    class's coefficient of the remainder modulo 1 - q**t, and these sums
+    fill the top min(t, len(a)) positions; raises NotDivisible, carrying
+    that remainder, unless they are all zero.  Never truncates.
+    """
+    if t < 1:
+        raise InvalidParameter(f"t must be >= 1, got {t}")
+    c = list(a.coeffs)
+    for s in range(min(t, len(c))):
+        c[s::t] = accumulate(c[s::t])
+    top = max(len(c) - t, 0)
+    if any(c[top:]):
+        rem = [c[top + (s - top) % t] for s in range(len(c) - top)]
+        raise NotDivisible(f"nonzero remainder modulo 1 - q^{t}", remainder=_trusted(rem))
+    return _trusted(c[:top])
+
+
+def sum_shifted(terms):
+    """The sum of poly * q**shift over (shift, poly) pairs, shift >= 0, added
+    into one coefficient list."""
+    terms = [(shift, poly.coeffs) for shift, poly in terms if poly]
+    if not terms:
+        return ZERO
+    if min(shift for shift, _ in terms) < 0:
+        raise InvalidParameter("shifts must be >= 0")
+    out = [0] * max(shift + len(cs) for shift, cs in terms)
+    for shift, cs in terms:
+        end = shift + len(cs)
+        out[shift:end] = map(add, out[shift:end], cs)
+    return _trusted(out)
 
 
 def gcd_bezout(a, b, u0, v0, e):

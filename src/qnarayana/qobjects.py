@@ -6,22 +6,26 @@ factorials, Gaussian binomials, q-Narayana polynomials, and q-Catalan
 polynomials.  The classical integers themselves are computed separately over
 plain integers so the two routes can cross-check each other.
 
-Gaussian binomials are built by the all-integer Pascal-type recurrence
+Every object here is a ratio of factors (1 - q^t), and is built one factor
+at a time with the one-pass kernels ``mul_one_minus_qt`` and
+``div_one_minus_qt``.  Gaussian binomials use the product formula
 
-    qbinom(n, k) = qbinom(n-1, k-1) + q^k * qbinom(n-1, k)
+    qbinom(n, k) = prod_{t=1..k} (1 - q^(n-k+t)) / (1 - q^t),  k <= n - k,
 
-on a memoized table, so no intermediate division can fail; dividing q-shifted
-factorials gives the same values and is kept in the test suite as an
-independent oracle.  The caches hold only immutable values, so concurrent
-readers can never observe a partially built entry; at worst two workers
-compute the same entry once each.
+whose partial product after step t is exactly qbinom(n-k+t, t), an integer
+polynomial, so every division is exact and a NotDivisible would be a bug.
+This takes memory linear in the degree and no recursion.  The Pascal-type
+recurrence and the quotient of q-shifted factorials give the same values and
+are kept in the test suite as independent oracles.  The caches hold only
+immutable values, so concurrent readers can never observe a partially built
+entry; at worst two workers compute the same entry once each.
 """
 
 from functools import cache
 from math import comb
 
 from .errors import InvalidParameter
-from .polyarith import ONE, ZERO, IntPoly, exact_div, is_nonneg
+from .polyarith import ONE, ZERO, IntPoly, div_one_minus_qt, is_nonneg, mul_one_minus_qt
 
 
 @cache
@@ -38,8 +42,8 @@ def q_shifted_factorial(n):
     if n < 0:
         raise InvalidParameter(f"q_shifted_factorial requires n >= 0, got {n}")
     value = ONE
-    for i in range(1, n + 1):
-        value = value * IntPoly((1,) + (0,) * (i - 1) + (-1,))
+    for t in range(1, n + 1):
+        value = mul_one_minus_qt(value, t)
     return value
 
 
@@ -53,28 +57,32 @@ def q_binomial(n, k):
         raise InvalidParameter(f"q_binomial requires n >= 0, got {n}")
     if k < 0 or k > n:
         return ZERO
-    return _qbinom(n, k)
+    return _qbinom(n, min(k, n - k))
 
 
 @cache
 def _qbinom(n, k):
-    if k == 0 or k == n:
-        return ONE
-    return _qbinom(n - 1, k - 1) + _qbinom(n - 1, k).shift(k)
+    value = ONE
+    for t in range(1, k + 1):
+        value = div_one_minus_qt(mul_one_minus_qt(value, n - k + t), t)
+    return value
 
 
 @cache
 def q_narayana(n, k):
     """q-Narayana polynomial: qbinom(n, k) * qbinom(n, k-1) / [n].
 
-    Zero outside 1 <= k <= n.  The division is exact and the result has
-    nonnegative coefficients; both facts are asserted, never assumed.
+    Zero outside 1 <= k <= n.  Dividing by [n] = (1 - q^n) / (1 - q) is a
+    multiply by 1 - q and an exact divide by 1 - q^n.  The division is exact
+    and the result has nonnegative coefficients; both facts are asserted,
+    never assumed.
     """
     if n < 1:
         raise InvalidParameter(f"q_narayana requires n >= 1, got {n}")
     if k <= 0 or k > n:
         return ZERO
-    value = exact_div(q_binomial(n, k) * q_binomial(n, k - 1), q_integer(n))
+    product = q_binomial(n, k) * q_binomial(n, k - 1)
+    value = div_one_minus_qt(mul_one_minus_qt(product, 1), n)
     if not is_nonneg(value):
         raise ArithmeticError(f"q_narayana({n}, {k}) has a negative coefficient")
     return value
@@ -86,7 +94,7 @@ def q_catalan(n):
     coefficients and constant term 1."""
     if n < 1:
         raise InvalidParameter(f"q_catalan requires n >= 1, got {n}")
-    value = exact_div(q_binomial(2 * n, n), q_integer(n + 1))
+    value = div_one_minus_qt(mul_one_minus_qt(q_binomial(2 * n, n), 1), n + 1)
     if not is_nonneg(value):
         raise ArithmeticError(f"q_catalan({n}) has a negative coefficient")
     return value

@@ -10,9 +10,16 @@ triangular number k(k-1)/2.  Three families are provided:
   first), with an arbitrary integer exponent polynomial f(k), an ``IntPoly``
   read as a polynomial in k; paired with ``cyclic_modulus``.
 * ``gjz_sum``: signed sum of central Gaussian binomial products over an open
-  chain (last index pairs with 0), carrying a q-shifted-factorial prefactor
-  that is applied as one exact division at the end so a failed division is a
-  loud, meaningful event rather than a silent rational.
+  chain (last index pairs with 0), carrying a q-shifted-factorial prefactor.
+  The prefactor is a ratio of factors (1 - q^t); after the common ones
+  cancel, the sum is multiplied by the numerator's and then divided exactly
+  by each of the denominator's, so a failed division is a loud, meaningful
+  event rather than a silent rational.
+
+The per-k binomial products of a chain do not depend on j or f, and a sweep
+evaluates all j (or f) of one chain in a row, so each family keeps the
+products of the last chain it saw in a one-entry cache; a call then only
+shifts and sums them.
 
 Sign and exponent conventions for negative k: (-1)^k is the parity of |k|,
 and k(k-1)/2 is evaluated by formula, so it is a nonnegative integer for
@@ -25,12 +32,20 @@ verdicts are unaffected because every modulus in scope has constant term 1
 and is therefore coprime to q.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .errors import InvalidParameter
-from .polyarith import ONE, ZERO, IntPoly, eval_int, exact_div
-from .qobjects import q_binomial, q_integer, q_narayana, q_shifted_factorial
+from .polyarith import (
+    ONE,
+    IntPoly,
+    div_one_minus_qt,
+    eval_int,
+    mul_one_minus_qt,
+    sum_shifted,
+)
+from .qobjects import q_binomial, q_integer, q_narayana
 
 
 def binom2(k):
@@ -76,11 +91,36 @@ def thm12_sum(n, r, j):
         raise InvalidParameter(f"n and r must be >= 1, got n={n}, r={r}")
     if j < 0:
         raise InvalidParameter(f"j must be >= 0, got {j}")
-    total = ZERO
+    terms = []
     for k in range(-n, n + 1):
-        term = _narayana_power(2 * n + 1, n + k + 1, r).shift(j * k * k + binom2(k))
-        total = total - term if k % 2 else total + term
-    return total
+        power = _narayana_power(2 * n + 1, n + k + 1, r)
+        terms.append((j * k * k + binom2(k), -power if k % 2 else power))
+    return sum_shifted(terms)
+
+
+def _signed_products(n1, factors):
+    """(k, (-1)^k * the product of the polynomials factors(k)) for each k in
+    -n1..n1 whose product is nonzero; factors(k) is consumed lazily and the
+    product stops at its first zero factor."""
+    terms = []
+    for k in range(-n1, n1 + 1):
+        prod = ONE
+        for factor in factors(k):
+            if not factor:
+                break
+            prod = prod * factor
+        else:
+            terms.append((k, -prod if k % 2 else prod))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=1)
+def _cyclic_products(ns):
+    """The signed per-k products of cyclic_sum for one chain."""
+    chain = ns + (ns[0],)
+    return _signed_products(ns[0], lambda k: (
+        q_binomial(ni + chain[i + 1] + 1, ni + k + d) for i, ni in enumerate(ns) for d in (0, 1)
+    ))
 
 
 def cyclic_sum(ns, f):
@@ -94,29 +134,11 @@ def cyclic_sum(ns, f):
     whose binomial product vanishes.
     """
     ns = _validated_ns(ns)
-    chain = ns + (ns[0],)
     n1 = ns[0]
-    window = range(-n1, n1 + 1)
-    exponents = [eval_int(f, k) + binom2(k) for k in window]
+    exponents = [eval_int(f, k) + binom2(k) for k in range(-n1, n1 + 1)]
     shift = max(0, -min(exponents))
-    total = ZERO
-    for k, exponent in zip(window, exponents):
-        prod = ONE
-        for i, ni in enumerate(ns):
-            left = q_binomial(ni + chain[i + 1] + 1, ni + k)
-            if not left:
-                prod = ZERO
-                break
-            right = q_binomial(ni + chain[i + 1] + 1, ni + k + 1)
-            if not right:
-                prod = ZERO
-                break
-            prod = prod * left * right
-        if not prod:
-            continue
-        term = prod.shift(exponent + shift)
-        total = total - term if k % 2 else total + term
-    return NormalizedSum(total, shift)
+    terms = ((exponents[k + n1] + shift, prod) for k, prod in _cyclic_products(ns))
+    return NormalizedSum(sum_shifted(terms), shift)
 
 
 def cyclic_modulus(ns):
@@ -129,40 +151,42 @@ def cyclic_modulus(ns):
     return modulus
 
 
+@lru_cache(maxsize=1)
+def _gjz_chain(ns):
+    """The j-independent parts of gjz_sum for one chain: its signed per-k
+    products, and the t of the prefactor's factors (1 - q^t) left in its
+    numerator and in its denominator once the common ones cancel."""
+    terms = _signed_products(ns[0], lambda k: (q_binomial(2 * ni, ni + k) for ni in ns))
+    # (q;q)_a is the product of (1 - q^t) over 1 <= t <= a.
+    chain = ns + (0,)
+    numerator = Counter(range(1, ns[0] + 1))
+    for i in range(len(ns)):
+        numerator.update(range(1, chain[i] + chain[i + 1] + 1))
+    denominator = Counter(t for ni in ns for t in range(1, 2 * ni + 1))
+    return (terms, tuple(sorted((numerator - denominator).elements())),
+            tuple(sorted((denominator - numerator).elements())))
+
+
 def gjz_sum(ns, j):
     """Open-chain analogue: the signed sum over -n1 <= k <= n1 of
     q^(j*k^2 + k(k-1)/2) times the product of qbinom(2*ni, ni + k), scaled
-    by the prefactor built from q-shifted factorials (the chain index after
-    the last is 0 here, not a wraparound).
+    by the prefactor (q;q)_{n1} prod (q;q)_{ni + n_next} / prod (q;q)_{2*ni}
+    (the chain index after the last is 0 here, not a wraparound).
 
-    The prefactor division is grouped as a single exact division in integer
-    polynomials; NotDivisible propagates to the caller as a reportable
-    event (it is guaranteed impossible for 0 <= j <= m-1).
+    The prefactor is applied factor by factor in integer polynomials: the
+    sum is multiplied by each remaining numerator factor (1 - q^t), then
+    divided exactly by each remaining denominator factor.  Each factor is
+    monic up to sign, so this succeeds exactly when one division by the
+    whole denominator would.  NotDivisible propagates to the caller as a
+    reportable event (it is guaranteed impossible for 0 <= j <= m-1).
     """
     ns = _validated_ns(ns)
     if j < 0:
         raise InvalidParameter(f"j must be >= 0, got {j}")
-    chain = ns + (0,)
-    n1 = ns[0]
-    total = ZERO
-    for k in range(-n1, n1 + 1):
-        prod = ONE
-        for ni in ns:
-            factor = q_binomial(2 * ni, ni + k)
-            if not factor:
-                prod = ZERO
-                break
-            prod = prod * factor
-        if not prod:
-            continue
-        term = prod.shift(j * k * k + binom2(k))
-        total = total - term if k % 2 else total + term
-    if not total:
-        return ZERO
-    numerator = q_shifted_factorial(ns[0])
-    for i in range(len(ns)):
-        numerator = numerator * q_shifted_factorial(chain[i] + chain[i + 1])
-    denominator = ONE
-    for ni in ns:
-        denominator = denominator * q_shifted_factorial(2 * ni)
-    return exact_div(numerator * total, denominator)
+    terms, numerator, denominator = _gjz_chain(ns)
+    total = sum_shifted((j * k * k + binom2(k), prod) for k, prod in terms)
+    for t in numerator:
+        total = mul_one_minus_qt(total, t)
+    for t in denominator:
+        total = div_one_minus_qt(total, t)
+    return total

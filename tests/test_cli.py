@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from qnarayana import cli
 from qnarayana.cli import (
     CaseError,
     Report,
@@ -348,10 +349,22 @@ class TestCommandLine:
         assert "error" in capsys.readouterr().err
 
     def test_recursion_limit_exits_without_traceback(self, capsys):
-        assert main(["qbinom", "600", "1"]) in (0, 1)
+        # Once past the old recursion limit of the binomial table.
+        assert main(["qbinom", "600", "1", "--format", "jsonl"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert sum(int(c) for c in json.loads(captured.out)["coeffs"]) == 600
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_too_large_input_exits_one(self, monkeypatch, capsys, error):
+        def exhausted(n, k):
+            raise error("exhausted")
+
+        monkeypatch.setattr(cli, "q_binomial", exhausted)
+        assert main(["qbinom", "4", "2"]) == 1
         err = capsys.readouterr().err
+        assert err.startswith("qnarayana: error: input too large (")
         assert "Traceback" not in err
-        assert not err or err.startswith("qnarayana: error: ")
 
     def test_invalid_parameter_exits_one(self, capsys):
         assert main(["qcatalan", "0"]) == 1

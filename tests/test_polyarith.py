@@ -16,12 +16,15 @@ from qnarayana.polyarith import (
     Q,
     ZERO,
     IntPoly,
+    div_one_minus_qt,
     divmod_poly,
     eval_int,
     exact_div,
     gcd_bezout,
     is_nonneg,
+    mul_one_minus_qt,
     mul_schoolbook,
+    sum_shifted,
 )
 from qnarayana.qobjects import q_binomial
 
@@ -44,6 +47,22 @@ wide_coeffs = st.one_of(
 wide_int_polys = st.integers(min_value=0, max_value=64).flatmap(
     lambda n: st.lists(wide_coeffs, min_size=n, max_size=n)
 ).map(lambda cs: IntPoly(tuple(cs)))
+
+
+# Past the 64 terms of wide_int_polys, so t >= len(a) is reached.
+factor_ts = st.integers(min_value=1, max_value=80)
+
+
+def one_minus_qt(t):
+    return ONE - ONE.shift(t)
+
+
+def division_outcome(divide, a, t):
+    """The quotient, or the remainder carried by NotDivisible."""
+    try:
+        return divide(a, t)
+    except NotDivisible as exc:
+        return "not divisible", exc.remainder
 
 
 def schoolbook(a, b):
@@ -215,6 +234,57 @@ class TestExactDiv:
     @given(int_polys, nonzero_int_polys)
     def test_mul_div_round_trip(self, a, b):
         assert exact_div(a * b, b) == a
+
+
+class TestOneMinusQtKernels:
+    """The one-pass kernels against the general multiply and long division."""
+
+    def test_pinned(self):
+        assert mul_one_minus_qt(IntPoly((1, 1)), 2) == IntPoly((1, 1, -1, -1))
+        assert div_one_minus_qt(IntPoly((1, 1, -1, -1)), 2) == IntPoly((1, 1))
+        assert mul_one_minus_qt(ZERO, 3) == ZERO
+        assert div_one_minus_qt(ZERO, 3) == ZERO
+
+    def test_remainder_is_the_long_division_one(self):
+        with pytest.raises(NotDivisible) as excinfo:
+            div_one_minus_qt(IntPoly((1, 2, 3, 4, 5)), 2)
+        assert excinfo.value.remainder == IntPoly((9, 6))
+        with pytest.raises(NotDivisible) as excinfo:
+            div_one_minus_qt(IntPoly((1, 2)), 5)
+        assert excinfo.value.remainder == IntPoly((1, 2))
+
+    def test_rejects_nonpositive_t(self):
+        for kernel in (mul_one_minus_qt, div_one_minus_qt):
+            with pytest.raises(InvalidParameter):
+                kernel(ONE, 0)
+
+    @given(wide_int_polys, factor_ts)
+    def test_mul_matches_general_multiply(self, a, t):
+        assert mul_one_minus_qt(a, t) == a * one_minus_qt(t)
+
+    @given(wide_int_polys, factor_ts)
+    def test_div_inverts_mul(self, a, t):
+        product = a * one_minus_qt(t)
+        assert div_one_minus_qt(product, t) == a == exact_div(product, one_minus_qt(t))
+
+    @given(wide_int_polys, wide_int_polys.filter(bool), factor_ts)
+    def test_div_matches_exact_div_on_perturbed_input(self, a, error, t):
+        # With a = 0 the dividend is an arbitrary nonzero polynomial.
+        dividend = a * one_minus_qt(t) + error
+        expected = division_outcome(lambda a, t: exact_div(a, one_minus_qt(t)), dividend, t)
+        assert division_outcome(div_one_minus_qt, dividend, t) == expected
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=70), wide_int_polys),
+                    max_size=6))
+    def test_sum_shifted_matches_shift_and_add(self, terms):
+        expected = ZERO
+        for shift, poly in terms:
+            expected = expected + poly.shift(shift)
+        assert sum_shifted(terms) == expected
+
+    def test_sum_shifted_rejects_negative_shift(self):
+        with pytest.raises(InvalidParameter):
+            sum_shifted([(0, ONE), (-1, ONE)])
 
 
 class TestGcdBezout:

@@ -1,6 +1,6 @@
 """Pinned values and structural invariants of the q-analogue constructors,
-with the factorial-quotient route as an independent oracle for the
-Pascal-recurrence Gaussian binomials."""
+with the Pascal recurrence and the factorial-quotient route as independent
+oracles for the product-formula Gaussian binomials."""
 
 import sys
 
@@ -9,6 +9,7 @@ import pytest
 from qnarayana.errors import InvalidParameter
 from qnarayana.polyarith import ONE, ZERO, IntPoly, eval_int, exact_div, is_nonneg
 from qnarayana.qobjects import (
+    _qbinom,
     catalan_int,
     narayana_int,
     q_binomial,
@@ -18,6 +19,22 @@ from qnarayana.qobjects import (
     q_shifted_factorial,
 )
 from math import comb
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def call_with_recursion_limit(limit, fn, *args):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def qbinom_by_factorials(n, k):
@@ -64,17 +81,8 @@ class TestQShiftedFactorial:
         expected = ONE
         for i in range(1, 201):
             expected = expected * (ONE - ONE.shift(i))
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
         q_shifted_factorial.cache_clear()
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 50)
-        try:
-            value = q_shifted_factorial(200)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert value == expected
+        assert call_with_recursion_limit(stack_depth() + 50, q_shifted_factorial, 200) == expected
 
 
 class TestQBinomial:
@@ -97,6 +105,13 @@ class TestQBinomial:
         for n in range(13):
             for k in range(n + 1):
                 assert q_binomial(n, k) == qbinom_by_factorials(n, k)
+
+    @pytest.mark.parametrize("n, k", [(600, 1), (300, 3)])
+    def test_cold_cache_needs_no_recursion(self, n, k):
+        _qbinom.cache_clear()
+        value = call_with_recursion_limit(stack_depth() + 50, q_binomial, n, k)
+        assert eval_int(value, 1) == comb(n, k)
+        assert value.degree == k * (n - k)
 
     def test_pascal_recurrence(self):
         for n in range(1, 13):

@@ -9,7 +9,7 @@ import pytest
 
 from qnarayana.errors import InvalidParameter
 from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, eval_int, exact_div, is_nonneg
-from qnarayana.qobjects import q_binomial, q_integer, q_narayana
+from qnarayana.qobjects import q_binomial, q_integer, q_narayana, q_shifted_factorial
 from qnarayana.sums import (
     NormalizedSum,
     binom2,
@@ -94,6 +94,27 @@ def cyclic_sum_reversed(ns, f):
     for e, c in raw.items():
         coeffs[e + shift] = c
     return NormalizedSum(IntPoly(tuple(coeffs)), shift)
+
+
+def gjz_sum_long_division(ns, j):
+    """Second transcription of gjz_sum: each j rebuilds the per-k products,
+    and the prefactor is applied as one long division by the whole product
+    of the denominator's q-shifted factorials."""
+    chain = list(ns) + [0]
+    total = ZERO
+    for k in range(-ns[0], ns[0] + 1):
+        prod = ONE
+        for ni in ns:
+            prod = prod * q_binomial(2 * ni, ni + k)
+        term = prod.shift(j * k * k + binom2(k))
+        total = total - term if k % 2 else total + term
+    numerator = q_shifted_factorial(ns[0])
+    for i in range(len(ns)):
+        numerator = numerator * q_shifted_factorial(chain[i] + chain[i + 1])
+    denominator = ONE
+    for ni in ns:
+        denominator = denominator * q_shifted_factorial(2 * ni)
+    return exact_div(numerator * total, denominator)
 
 
 class TestBinom2:
@@ -236,6 +257,15 @@ class TestGjzSum:
             for ns in itertools.product((1, 2, 3), repeat=m):
                 for j in range(m):
                     assert is_nonneg(gjz_sum(ns, j))
+
+    def test_factored_prefactor_matches_long_division(self):
+        # The default sweep grid (chains of length 1..4 with entries 1..5,
+        # 0 <= j < m), extended to every j up to 6 on chains of length 1..3;
+        # the 1875 extended cases of length 4 would double the test's time.
+        for m in (1, 2, 3, 4):
+            for ns in itertools.product(range(1, 6), repeat=m):
+                for j in range(m if m == 4 else 7):
+                    assert gjz_sum(ns, j) == gjz_sum_long_division(ns, j), (ns, j)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameter):
