@@ -73,10 +73,8 @@ class SweepSpec:
 
     Either an explicit chain ns or a chain-length range m_range with a
     per-index bound ni_max describes the chain statements; n_range and
-    r_range describe the Narayana-power statements.  j_mode "theorem" sweeps
-    exactly the j values the statement claims; "extended" sweeps 0..j_max.
-    Output settings (format, jobs) never influence the expansion, so they
-    are excluded from the echoed description.
+    r_range describe the Narayana-power statements.  A statement taking j
+    sweeps exactly the j values it claims, or 0..j_max when j_max is given.
     """
 
     statement: str
@@ -85,18 +83,11 @@ class SweepSpec:
     m_range: tuple = None
     ni_max: int = None
     ns: tuple = None
-    j_mode: str = "theorem"
     j_max: int = None
     f_suite: tuple = None
-    format: str = "text"
-    jobs: int = 1
 
     def validate(self):
         fields = get_statement(self.statement).fields
-        if self.format not in ("text", "jsonl", "csv"):
-            raise InvalidParameter(f"unknown format {self.format!r}")
-        if self.jobs < 1:
-            raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
         if "ns" not in fields:
             if self.ns is not None or self.m_range is not None or self.ni_max is not None:
                 raise InvalidParameter(f"{self.statement} does not take chain bounds")
@@ -122,16 +113,11 @@ class SweepSpec:
                     raise InvalidParameter(f"m range must start at >= 1, got {self.m_range[0]}")
                 if self.ni_max < 1:
                     raise InvalidParameter(f"ni-max must be >= 1, got {self.ni_max}")
-        if "j" in fields:
-            if self.j_mode not in ("theorem", "extended"):
-                raise InvalidParameter(f"unknown j-mode {self.j_mode!r}")
-            if self.j_mode == "extended":
-                if self.j_max is None or self.j_max < 0:
-                    raise InvalidParameter("extended j-mode requires --j-max >= 0")
-            elif self.j_max is not None:
-                raise InvalidParameter("--j-max applies to extended j-mode only")
-        elif self.j_mode != "theorem" or self.j_max is not None:
-            raise InvalidParameter(f"{self.statement} does not take j options")
+        if self.j_max is not None:
+            if "j" not in fields:
+                raise InvalidParameter(f"{self.statement} does not take j options")
+            if self.j_max < 0:
+                raise InvalidParameter(f"j-max must be >= 0, got {self.j_max}")
         if "f" in fields:
             if not self.f_suite:
                 raise InvalidParameter(f"{self.statement} requires a nonempty f-suite")
@@ -142,8 +128,7 @@ class SweepSpec:
             raise InvalidParameter(f"{self.statement} does not take --f-suite")
 
     def echo(self):
-        """Deterministic one-line description of everything that shapes the
-        expansion (output settings deliberately excluded)."""
+        """Deterministic one-line description of the sweep."""
         parts = [f"statement={self.statement}"]
         if self.ns is not None:
             parts.append("ns=" + ",".join(str(v) for v in self.ns))
@@ -156,9 +141,7 @@ class SweepSpec:
         if self.ni_max is not None:
             parts.append(f"ni_max={self.ni_max}")
         if "j" in get_statement(self.statement).fields:
-            parts.append(
-                "j=theorem" if self.j_mode == "theorem" else f"j=0..{self.j_max}"
-            )
+            parts.append("j=theorem" if self.j_max is None else f"j=0..{self.j_max}")
         if self.f_suite is not None:
             parts.append("f=" + ";".join(_cell(f.coeffs) for f in self.f_suite))
         return " ".join(parts)
@@ -169,11 +152,6 @@ class SweepSpec:
             return
         for m in range(self.m_range[0], self.m_range[1] + 1):
             yield from itertools.product(range(1, self.ni_max + 1), repeat=m)
-
-    def _j_values(self, theorem_count):
-        if self.j_mode == "extended":
-            return range(self.j_max + 1)
-        return range(theorem_count)
 
     def expand(self):
         """All CaseSpecs, lexicographic in (n or ns, r, j, f-suite index)."""
@@ -190,7 +168,11 @@ class SweepSpec:
         cases = []
         for head in heads:
             if statement.j_scale is not None:
-                for j in self._j_values(statement.j_count(head.get("r"), head.get("ns"))):
+                if self.j_max is None:
+                    j_values = range(statement.j_count(head.get("r"), head.get("ns")))
+                else:
+                    j_values = range(self.j_max + 1)
+                for j in j_values:
                     cases.append(CaseSpec(name, j=j, **head))
             elif "f" in statement.fields:
                 for f in self.f_suite:
@@ -280,18 +262,21 @@ def exit_code(summary):
     return 0
 
 
-def run_sweep(spec):
-    """Expand, evaluate (optionally across processes), and package a Report.
+def run_sweep(spec, jobs=1):
+    """Expand, evaluate (across jobs worker processes when jobs > 1), and
+    package a Report.
 
     Results are gathered back into expansion order, so the report content is
     independent of the worker count.
     """
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
     spec.validate()
     cases = spec.expand()
     start = time.perf_counter()
-    if spec.jobs > 1 and len(cases) > 1:
-        chunksize = max(1, len(cases) // (spec.jobs * 8))
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    if jobs > 1 and len(cases) > 1:
+        chunksize = max(1, len(cases) // (jobs * 8))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = tuple(pool.map(evaluate_case, cases, chunksize=chunksize))
     else:
         results = tuple(evaluate_case(case) for case in cases)
@@ -517,9 +502,8 @@ def build_parser():
                    help="sweep every chain with indices in 1..B")
     p.add_argument("--ns", type=_parse_int_list, metavar="N1,N2,...",
                    help="verify one explicit chain instead of sweeping")
-    p.add_argument("--j-mode", choices=("theorem", "extended"), default="theorem",
-                   help="sweep the claimed j range, or 0..j-max")
-    p.add_argument("--j-max", type=int, dest="j_max", metavar="J")
+    p.add_argument("--j-max", type=int, dest="j_max", metavar="J",
+                   help="sweep j over 0..J instead of the claimed j range")
     p.add_argument("--f-suite", type=_parse_f_suite, dest="f_suite", metavar="F1;F2;...",
                    help="conj34 exponent polynomials, ';'-separated coefficient lists")
 
@@ -582,16 +566,11 @@ def _sweep_spec(args):
                 fields[name] = value
     if fields["f_suite"] is None:
         fields["f_suite"] = statement.f_suite
-    return SweepSpec(
-        statement=args.statement,
-        j_mode=args.j_mode,
-        format=args.format,
-        jobs=args.jobs,
-        **fields,
-    )
+    return SweepSpec(statement=args.statement, **fields)
 
 
 def _dispatch(args, stream):
+    """Run one parsed command; argparse admits no other command or sum kind."""
     command = args.command
     if command == "qbinom":
         return _emit_poly(q_binomial(args.n, args.k), args.format, stream)
@@ -605,17 +584,12 @@ def _dispatch(args, stream):
         if args.sum_kind == "cyclic":
             normalized = cyclic_sum(args.ns, args.f)
             return _emit_poly(normalized.poly, args.format, stream, shift=normalized.shift)
-        if args.sum_kind == "gjz":
-            return _emit_poly(gjz_sum(args.ns, args.j), args.format, stream)
-        raise InvalidParameter(f"unknown sum kind {args.sum_kind!r}")
+        return _emit_poly(gjz_sum(args.ns, args.j), args.format, stream)
     if command == "verify":
-        spec = _sweep_spec(args)
-        report = run_sweep(spec)
-        emit_report(report, spec.format, stream)
+        report = run_sweep(_sweep_spec(args), args.jobs)
+        emit_report(report, args.format, stream)
         return exit_code(report.summary)
-    if command == "proof":
-        return _emit_proof(replay_proof(args.n, args.r, args.j), args.format, stream)
-    raise InvalidParameter(f"unknown command {command!r}")
+    return _emit_proof(replay_proof(args.n, args.r, args.j), args.format, stream)
 
 
 def main(argv=None):

@@ -17,9 +17,9 @@ triangular number k(k-1)/2.  Three families are provided:
   event rather than a silent rational.
 
 The per-k binomial products of a chain do not depend on j or f, and a sweep
-evaluates all j (or f) of one chain in a row, so each family keeps the
-products of the last chain it saw in a one-entry cache; a call then only
-shifts and sums them.
+evaluates all j (or f) of one chain in a row, so the chain families keep the
+last chain's products in a one-entry cache and a call only shifts and sums
+them.  thm12_sum keeps every q-Narayana power: power r is built from r - 1.
 
 Sign and exponent conventions for negative k: (-1)^k is the parity of |k|,
 and k(k-1)/2 is evaluated by formula, so it is a nonnegative integer for

@@ -43,8 +43,9 @@ DEFAULT_F_SUITE = (
 # CaseSpec parameters in record order.
 _PARAMS = ("n", "r", "j", "ns", "f")
 
-# Above this n the thm11 polynomial cross-check is skipped; the plain
-# integer route stays authoritative and fast at every size.
+# thm11 cross-checks the polynomial route only up to this n: its thm12_sum is
+# almost all Kronecker products, and uncapped `verify thm11 --r 1..4` goes from
+# 0.96 to 5.9 s at --n 1..20 and 0.84 to 66 s at --n 1..30 (2-vCPU Xeon).
 _POLY_CROSS_CHECK_LIMIT = 14
 
 
@@ -106,22 +107,31 @@ class CaseSpec:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one case: divisibility, the exact quotient when it
-    exists, and the nonnegativity of that quotient.
+    """Outcome of one case.  quotient is the exact quotient, or None when the
+    modulus does not divide the sum; the three flags derive from it and the case.
 
     sum_degree is the degree of the polynomial the claim was tested on, with
     -1 standing in for the zero polynomial (integer statements count as
-    constants).  shift is the normalization power of q factored out of the
-    sum; quotient and quotient_nonneg are None unless divisible.
+    constants); shift is the normalization power of q factored out of the sum.
     """
 
     case: CaseSpec
     sum_degree: int
     shift: int
-    divisible: bool
     quotient: IntPoly
-    quotient_nonneg: bool
-    in_theorem_range: bool
+
+    @property
+    def divisible(self):
+        return self.quotient is not None
+
+    @property
+    def quotient_nonneg(self):
+        """Whether every quotient coefficient is >= 0; None unless divisible."""
+        return None if self.quotient is None else is_nonneg(self.quotient)
+
+    @property
+    def in_theorem_range(self):
+        return self.case.in_theorem_range()
 
 
 @dataclass(frozen=True)
@@ -163,25 +173,12 @@ def check_divisibility(poly, modulus):
 def _poly_verdict(case, poly, shift, quotient):
     """Verdict on a built sum, given its normalization shift and its quotient
     (None if not divisible)."""
-    return Verdict(
-        case=case,
-        sum_degree=poly.degree if poly else -1,
-        shift=shift,
-        divisible=quotient is not None,
-        quotient=quotient,
-        quotient_nonneg=None if quotient is None else is_nonneg(quotient),
-        in_theorem_range=case.in_theorem_range(),
-    )
+    return Verdict(case, poly.degree if poly else -1, shift, quotient)
 
 
 def _int_verdict(case, total, modulus):
     quot, rem = divmod(total, modulus)
-    degree = 0 if total else -1
-    if rem:
-        return Verdict(case, degree, 0, False, None, None, case.in_theorem_range())
-    return Verdict(
-        case, degree, 0, True, IntPoly((quot,)), quot >= 0, case.in_theorem_range()
-    )
+    return Verdict(case, 0 if total else -1, 0, None if rem else IntPoly((quot,)))
 
 
 def _comb0(n, k):
@@ -235,14 +232,10 @@ def _verify_conj31(case):
     return _int_verdict(case, total, modulus)
 
 
-def _verify_conj33(case):
-    summed = cyclic_sum(case.ns, IntPoly((0, 0, case.j)))
-    quotient = check_divisibility(summed.poly, cyclic_modulus(case.ns))
-    return _poly_verdict(case, summed.poly, summed.shift, quotient)
-
-
-def _verify_conj34(case):
-    summed = cyclic_sum(case.ns, case.f)
+def _verify_cyclic(case):
+    """conj34 at its exponent polynomial f; conj33 is conj34 at f = j*k^2."""
+    f = IntPoly((0, 0, case.j)) if case.f is None else case.f
+    summed = cyclic_sum(case.ns, f)
     quotient = check_divisibility(summed.poly, cyclic_modulus(case.ns))
     return _poly_verdict(case, summed.poly, summed.shift, quotient)
 
@@ -251,7 +244,7 @@ def _verify_gjz(case):
     try:
         poly = gjz_sum(case.ns, case.j)
     except NotDivisible:
-        return Verdict(case, -1, 0, False, None, None, case.in_theorem_range())
+        return Verdict(case, -1, 0, None)
     return _poly_verdict(case, poly, 0, poly)
 
 
@@ -298,9 +291,9 @@ STATEMENTS = {
     "conj32": Statement("conjecture", "nonneg_quotient", ("n", "r", "j"), 2,
                         {"n_range": (1, 8), "r_range": (1, 3)}, _verify_narayana_power),
     "conj33": Statement("conjecture", "nonneg_quotient", ("j", "ns"), 2,
-                        {"m_range": (1, 3), "ni_max": 4}, _verify_conj33),
+                        {"m_range": (1, 3), "ni_max": 4}, _verify_cyclic),
     "conj34": Statement("conjecture", "divisible", ("ns", "f"), None,
-                        {"m_range": (1, 2), "ni_max": 5}, _verify_conj34, DEFAULT_F_SUITE),
+                        {"m_range": (1, 2), "ni_max": 5}, _verify_cyclic, DEFAULT_F_SUITE),
 }
 
 

@@ -185,10 +185,9 @@ def test_criterion_9_conjecture_sweeps_and_determinism():
                 SweepSpec("conj34", m_range=(1, 2), ni_max=5, f_suite=DEFAULT_F_SUITE)
             )
         )
-        serial_spec = SweepSpec("conj33", m_range=(1, 2), ni_max=3, jobs=1)
-        parallel_spec = SweepSpec("conj33", m_range=(1, 2), ni_max=3, jobs=2)
-        serial = run_sweep(serial_spec)
-        parallel = run_sweep(parallel_spec)
+        spec = SweepSpec("conj33", m_range=(1, 2), ni_max=3)
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=2)
         assert render(serial, "csv") == render(parallel, "csv")
         for fmt in ("text", "jsonl"):
             assert stable_lines(render(serial, fmt)) == stable_lines(

@@ -75,8 +75,9 @@ class TestSweepSpecExpansion:
         assert [case.f for case in spec.expand()] == list(DEFAULT_F_SUITE)
 
     def test_extended_j_mode(self):
-        spec = SweepSpec("thm12", n_range=(1, 1), r_range=(1, 1), j_mode="extended", j_max=4)
+        spec = SweepSpec("thm12", n_range=(1, 1), r_range=(1, 1), j_max=4)
         assert [case.j for case in spec.expand()] == [0, 1, 2, 3, 4]
+        assert spec.echo() == "statement=thm12 n=1..1 r=1..1 j=0..4"
 
     def test_gjz_theorem_j_follows_chain_length(self):
         spec = SweepSpec("gjz", m_range=(1, 2), ni_max=1)
@@ -90,11 +91,6 @@ class TestSweepSpecExpansion:
         spec = SweepSpec("thm12", n_range=(2, 1), r_range=(1, 1))
         assert spec.expand() == []
 
-    def test_echo_excludes_output_settings(self):
-        one = SweepSpec("thm12", n_range=(1, 3), r_range=(1, 2), jobs=1, format="text")
-        two = SweepSpec("thm12", n_range=(1, 3), r_range=(1, 2), jobs=7, format="csv")
-        assert one.echo() == two.echo() == "statement=thm12 n=1..3 r=1..2 j=theorem"
-
     def test_validation_errors(self):
         with pytest.raises(InvalidParameter):
             SweepSpec("thm12", n_range=(1, 2)).validate()
@@ -106,11 +102,9 @@ class TestSweepSpecExpansion:
             SweepSpec("conj31", n_range=(1, 2)).validate()
         with pytest.raises(InvalidParameter):
             SweepSpec("conj31", ns=(1,), ni_max=3).validate()
-        with pytest.raises(InvalidParameter):
-            SweepSpec(
-                "thm12", n_range=(1, 1), r_range=(1, 1), j_mode="extended"
-            ).validate()
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="j-max must be >= 0"):
+            SweepSpec("thm12", n_range=(1, 1), r_range=(1, 1), j_max=-1).validate()
+        with pytest.raises(InvalidParameter, match="does not take j options"):
             SweepSpec("conj31", ns=(1,), j_max=3).validate()
         with pytest.raises(InvalidParameter):
             SweepSpec("conj31", ns=(1,), f_suite=DEFAULT_F_SUITE).validate()
@@ -133,12 +127,23 @@ class TestOutcomes:
 
     def test_synthetic_finding_and_failure(self):
         conjecture_case = CaseSpec("conj32", n=1, r=1, j=1)
-        finding = Verdict(conjecture_case, 4, 0, True, IntPoly((-1, 1)), False, True)
+        finding = Verdict(conjecture_case, 4, 0, IntPoly((-1, 1)))
         assert outcome(finding) == "finding"
         theorem_case = CaseSpec("thm12", n=1, r=1, j=1)
-        failure = Verdict(theorem_case, 4, 0, False, None, None, True)
+        failure = Verdict(theorem_case, 4, 0, None)
         assert outcome(failure) == "fail"
         assert outcome(CaseError(theorem_case, "RuntimeError", "boom")) == "error"
+
+    def test_verdict_flags_are_derived(self):
+        negative = Verdict(CaseSpec("conj32", n=1, r=1, j=1), 4, 0, IntPoly((-1, 1)))
+        assert (negative.divisible, negative.quotient_nonneg) == (True, False)
+        assert negative.in_theorem_range
+        missing = Verdict(CaseSpec("thm12", n=1, r=1, j=1), 4, 0, None)
+        assert (missing.divisible, missing.quotient_nonneg) == (False, None)
+        assert missing.in_theorem_range
+        beyond = Verdict(CaseSpec("gjz", ns=(1, 1), j=2), 2, 0, IntPoly((0, 1)))
+        assert (beyond.divisible, beyond.quotient_nonneg) == (True, True)
+        assert not beyond.in_theorem_range
 
     def test_exit_codes(self):
         passing = Summary(3, 3, 0, 0, 0, 0, 5)
@@ -171,7 +176,7 @@ class TestOutcomes:
 
 class TestReports:
     def test_jsonl_contains_pinned_quotient(self):
-        spec = SweepSpec("thm12", n_range=(2, 2), r_range=(1, 1), format="jsonl")
+        spec = SweepSpec("thm12", n_range=(2, 2), r_range=(1, 1))
         text = render(run_sweep(spec), "jsonl")
         assert '"quotient":"q^6"' in text
 
@@ -210,7 +215,7 @@ class TestReports:
         assert lines[2] == "thm12,2,1,1,,,0,true,true,true,2,1"
 
     def test_text_format_shape(self):
-        spec = SweepSpec("gjz", ns=(3,), j_mode="theorem")
+        spec = SweepSpec("gjz", ns=(3,))
         lines = render(run_sweep(spec), "text").splitlines()
         assert lines[0].startswith("# qnarayana ")
         assert lines[1] == "# sweep: statement=gjz ns=3 j=theorem"
@@ -274,7 +279,7 @@ class TestDeterminism:
     def test_parallel_equals_serial(self):
         serial = run_sweep(SweepSpec("conj34", m_range=(1, 1), ni_max=3, f_suite=DEFAULT_F_SUITE))
         parallel = run_sweep(
-            SweepSpec("conj34", m_range=(1, 1), ni_max=3, f_suite=DEFAULT_F_SUITE, jobs=3)
+            SweepSpec("conj34", m_range=(1, 1), ni_max=3, f_suite=DEFAULT_F_SUITE), jobs=3
         )
         for fmt in ("text", "jsonl", "csv"):
             assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
@@ -382,6 +387,28 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as excinfo:
             main(["sum", "thm12", "--n", "1"])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "thm12", "--jobs", "0"], "jobs must be >= 1, got 0"),
+            (["verify", "thm12", "--n", "1..2", "--r", "1", "--j-max", "-1"],
+             "j-max must be >= 0"),
+            (["verify", "conj31", "--j-max", "2"], "does not take j options"),
+            (["verify", "thm12", "--j-mode", "extended", "--j-max", "3"],
+             "unrecognized arguments: --j-mode extended"),
+        ],
+    )
+    def test_sweep_option_errors_exit_one(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
     def test_malformed_exponent_polynomial_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -30,7 +30,7 @@ SWEEPS = {
         },
     ),
     "thm12": (
-        ["--n", "1..2", "--r", "1", "--j-mode", "extended", "--j-max", "3"],
+        ["--n", "1..2", "--r", "1", "--j-max", "3"],
         0,
         {
             "text": "d3e815299c67d39a2d2e609b58464557d345cc907195b2adc4fdc8b55e461599",
@@ -39,7 +39,7 @@ SWEEPS = {
         },
     ),
     "gjz": (
-        ["--m", "1..2", "--ni-max", "2", "--j-mode", "extended", "--j-max", "4"],
+        ["--m", "1..2", "--ni-max", "2", "--j-max", "4"],
         0,
         {
             "text": "462254db3347ec273ee71011c19dbcf307f77acd010bf9d9e8f2700b04fb86d0",
@@ -57,7 +57,7 @@ SWEEPS = {
         },
     ),
     "conj32": (
-        ["--n", "1..2", "--r", "1..2", "--j-mode", "extended", "--j-max", "4"],
+        ["--n", "1..2", "--r", "1..2", "--j-max", "4"],
         0,
         {
             "text": "b39a6957153b5fe1a2a9b0b31bdb2f43791516bc1e05493f66f03e7099910028",
@@ -66,7 +66,7 @@ SWEEPS = {
         },
     ),
     "conj33": (
-        ["--m", "1..2", "--ni-max", "2", "--j-mode", "extended", "--j-max", "5"],
+        ["--m", "1..2", "--ni-max", "2", "--j-max", "5"],
         0,
         {
             "text": "253818cb000b3c1a5b6a5a1e69749b1f8d135f510826a8c70def3c21a4125e77",
@@ -120,7 +120,7 @@ def stable_digest(text):
 
 def hand_built_report():
     passing = verify_case(CaseSpec("thm12", n=1, r=1, j=0))
-    not_divisible = Verdict(CaseSpec("thm12", n=2, r=1, j=1), 4, 0, False, None, None, True)
+    not_divisible = Verdict(CaseSpec("thm12", n=2, r=1, j=1), 4, 0, None)
     failed = CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom")
     chain_error = CaseError(
         CaseSpec("conj34", ns=(1, 2), f=IntPoly(())), "NotDivisible", "x" * 80
