@@ -2,13 +2,14 @@
 
 Single-value commands (qbinom, qnarayana, qcatalan, sum ...) print one
 polynomial; verify runs a parameter sweep and emits a report; proof dumps a
-replayed proof trace.
+replayed proof trace.  Each output is one record that every format renders,
+and each emitter returns the command's exit code.
 
 Report formats
     text   human-readable table with "#"-prefixed header and summary lines
     jsonl  one JSON object per line: header, meta, one record per case,
-           summary; polynomial values are text-form strings and big
-           coefficients always serialize as decimal strings
+           summary; polynomial values are text-form strings, and ns and f
+           are JSON integer arrays
     csv    fixed column set, verdict rows only (errors and the summary
            appear in the other formats)
 
@@ -25,10 +26,12 @@ Exit codes
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -192,24 +195,12 @@ class CaseError:
 
 
 @dataclass(frozen=True)
-class Summary:
-    cases: int
-    passed: int
-    findings: int
-    failures: int
-    errors: int
-    exploratory: int
-    max_degree: int
-
-
-@dataclass(frozen=True)
 class Report:
     version: str
     spec_echo: str
     timestamp: str
     wall_seconds: float
     results: tuple
-    summary: Summary
 
 
 def outcome(result):
@@ -237,29 +228,21 @@ def evaluate_case(case):
 
 
 def summarize(results):
-    counts = {"pass": 0, "finding": 0, "fail": 0, "error": 0, "exploratory": 0}
-    max_degree = -1
-    for result in results:
-        counts[outcome(result)] += 1
-        if isinstance(result, Verdict) and result.sum_degree > max_degree:
-            max_degree = result.sum_degree
-    return Summary(
-        cases=len(results),
-        passed=counts["pass"],
-        findings=counts["finding"],
-        failures=counts["fail"],
-        errors=counts["error"],
-        exploratory=counts["exploratory"],
-        max_degree=max_degree,
-    )
-
-
-def exit_code(summary):
-    if summary.failures or summary.errors:
-        return 1
-    if summary.findings:
-        return 2
-    return 0
+    """The summary record every format renders: the outcome counts, the
+    largest sum degree, then exit (1 on any fail or error, else 2 on any
+    finding, else 0)."""
+    counts = Counter(outcome(result) for result in results)
+    record = {
+        "cases": len(results),
+        "passed": counts["pass"],
+        "findings": counts["finding"],
+        "failures": counts["fail"],
+        "errors": counts["error"],
+        "exploratory": counts["exploratory"],
+        "max_degree": max((r.sum_degree for r in results if isinstance(r, Verdict)), default=-1),
+    }
+    record["exit"] = 1 if counts["fail"] or counts["error"] else 2 if counts["finding"] else 0
+    return record
 
 
 def run_sweep(spec, jobs=1):
@@ -288,7 +271,6 @@ def run_sweep(spec, jobs=1):
         timestamp=timestamp,
         wall_seconds=wall,
         results=results,
-        summary=summarize(results),
     )
 
 
@@ -316,11 +298,6 @@ def result_record(result):
     record["in_theorem_range"] = result.in_theorem_range
     record["sum_degree"] = result.sum_degree
     return record
-
-
-def summary_record(summary):
-    """The Summary counts, in field order, followed by the exit code."""
-    return {**vars(summary), "exit": exit_code(summary)}
 
 
 def _dumps(obj):
@@ -353,20 +330,20 @@ def _cells(record):
 
 
 def emit_report(report, fmt, stream):
-    """Write a Report in the chosen format.
+    """Write a Report in the chosen format and return its exit code.
 
     All formats present the results in expansion order; only the line
     holding the timestamp and wall time varies between identical runs.
     """
     records = [result_record(result) for result in report.results]
-    summary = summary_record(report.summary)
+    summary = summarize(report.results)
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for record in records:
             if "error" not in record:
                 writer.writerow(_cells(record))
-        return
+        return summary["exit"]
     if fmt == "jsonl":
         stream.write(_dumps({"header": {"version": report.version, "sweep": report.spec_echo}}) + "\n")
         stream.write(
@@ -376,7 +353,7 @@ def emit_report(report, fmt, stream):
         for record in records:
             stream.write(_dumps(record) + "\n")
         stream.write(_dumps({"summary": summary}) + "\n")
-        return
+        return summary["exit"]
     if fmt != "text":
         raise InvalidParameter(f"unknown format {fmt!r}")
     stream.write(f"# qnarayana {report.version}\n")
@@ -397,6 +374,7 @@ def emit_report(report, fmt, stream):
         stream.write(line.rstrip() + "\n")
     summary_text = " ".join(f"{key}={value}" for key, value in summary.items())
     stream.write(f"# summary: {summary_text}\n")
+    return summary["exit"]
 
 
 def _parse_range(text):
@@ -516,8 +494,6 @@ def build_parser():
 
 
 def _emit_poly(poly, fmt, stream, shift=None):
-    if fmt == "csv":
-        raise InvalidParameter("csv format applies to verify sweeps only")
     if fmt == "jsonl":
         record = {"coeffs": [str(c) for c in poly.coeffs]}
         if shift is not None:
@@ -531,24 +507,15 @@ def _emit_poly(poly, fmt, stream, shift=None):
 
 
 def _emit_proof(trace, fmt, stream):
-    if fmt == "csv":
-        raise InvalidParameter("csv format applies to verify sweeps only")
-    record = {
-        "n": trace.n,
-        "r": trace.r,
-        "j": trace.j,
-        "sum": str(trace.sum_poly),
-        "modulus": str(trace.modulus),
-        "bezout_u": str(trace.bezout_u),
-        "bezout_v": str(trace.bezout_v),
-        "quotient": str(trace.quotient),
-    }
+    """The trace's fields are the record's keys; polynomials become text."""
+    record = {key: value if isinstance(value, int) else str(value) for key, value in vars(trace).items()}
     if fmt == "jsonl":
         stream.write(_dumps(record) + "\n")
         return 0
     stream.write(f"# proof replay n={trace.n} r={trace.r} j={trace.j}\n")
-    for key in ("sum", "modulus", "bezout_u", "bezout_v", "quotient"):
-        stream.write(f"{key} = {record[key]}\n")
+    for key, value in record.items():
+        if isinstance(value, str):
+            stream.write(f"{key} = {value}\n")
     stream.write(
         "# checked: bezout_u*[2n+1]^(r-1) + bezout_v*[2n+2]^(r-1) = 1"
         " and quotient*modulus = sum\n"
@@ -570,8 +537,13 @@ def _sweep_spec(args):
 
 
 def _dispatch(args, stream):
-    """Run one parsed command; argparse admits no other command or sum kind."""
+    """Run one parsed command and return its exit code; argparse admits no
+    other command or sum kind."""
     command = args.command
+    if command == "verify":
+        return emit_report(run_sweep(_sweep_spec(args), args.jobs), args.format, stream)
+    if args.format == "csv":
+        raise InvalidParameter("csv format applies to verify sweeps only")
     if command == "qbinom":
         return _emit_poly(q_binomial(args.n, args.k), args.format, stream)
     if command == "qnarayana":
@@ -585,10 +557,6 @@ def _dispatch(args, stream):
             normalized = cyclic_sum(args.ns, args.f)
             return _emit_poly(normalized.poly, args.format, stream, shift=normalized.shift)
         return _emit_poly(gjz_sum(args.ns, args.j), args.format, stream)
-    if command == "verify":
-        report = run_sweep(_sweep_spec(args), args.jobs)
-        emit_report(report, args.format, stream)
-        return exit_code(report.summary)
     return _emit_proof(replay_proof(args.n, args.r, args.j), args.format, stream)
 
 
@@ -596,20 +564,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Render first, so a command that fails leaves an existing file alone.
+        stream = io.StringIO() if args.out else sys.stdout
+        code = _dispatch(args, stream)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as stream:
-                return _dispatch(args, stream)
-        return _dispatch(args, sys.stdout)
+            with open(args.out, "w", encoding="utf-8", newline="") as out:
+                out.write(stream.getvalue())
+        return code
     except ProofError as exc:
         print(f"qnarayana: proof falsified: {exc}", file=sys.stderr)
         return 1
     except NotDivisible as exc:
         print(f"qnarayana: not a polynomial: {exc}", file=sys.stderr)
         return 1
-    except (InvalidParameter, InvalidModulus) as exc:
-        print(f"qnarayana: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InvalidParameter, InvalidModulus, OSError) as exc:
         print(f"qnarayana: error: {exc}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as exc:

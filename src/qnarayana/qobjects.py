@@ -17,8 +17,8 @@ polynomial, so every division is exact and a NotDivisible would be a bug.
 This takes memory linear in the degree and no recursion.  The Pascal-type
 recurrence and the quotient of q-shifted factorials give the same values and
 are kept in the test suite as independent oracles.  The caches hold only
-immutable values, so concurrent readers can never observe a partially built
-entry; at worst two workers compute the same entry once each.
+immutable values, so every caller can share an entry; the worker processes
+of a parallel sweep each build their own caches.
 """
 
 from functools import cache

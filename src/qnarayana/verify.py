@@ -143,7 +143,7 @@ class ProofTrace:
     n: int
     r: int
     j: int
-    sum_poly: IntPoly
+    sum: IntPoly
     modulus: IntPoly
     bezout_u: IntPoly
     bezout_v: IntPoly

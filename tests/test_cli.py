@@ -12,12 +12,10 @@ from qnarayana.cli import (
     CaseError,
     Report,
     SweepSpec,
-    Summary,
     _parse_range,
     build_parser,
     emit_report,
     evaluate_case,
-    exit_code,
     main,
     outcome,
     result_record,
@@ -145,28 +143,32 @@ class TestOutcomes:
         assert (beyond.divisible, beyond.quotient_nonneg) == (True, True)
         assert not beyond.in_theorem_range
 
-    def test_exit_codes(self):
-        passing = Summary(3, 3, 0, 0, 0, 0, 5)
-        assert exit_code(passing) == 0
-        with_finding = Summary(3, 2, 1, 0, 0, 0, 5)
-        assert exit_code(with_finding) == 2
-        with_failure = Summary(3, 1, 1, 1, 0, 0, 5)
-        assert exit_code(with_failure) == 1
-        with_error = Summary(3, 2, 0, 0, 1, 0, 5)
-        assert exit_code(with_error) == 1
-
-    def test_summarize_counts(self):
+    def test_summary_record_is_the_jsonl_summary(self):
         results = (
             verify_case(CaseSpec("thm12", n=1, r=1, j=0)),
             verify_case(CaseSpec("conj32", n=1, r=1, j=2)),
             CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom"),
         )
         summary = summarize(results)
-        assert summary.cases == 3
-        assert summary.passed == 1
-        assert summary.exploratory == 1
-        assert summary.errors == 1
-        assert summary.max_degree == 3
+        assert summary == {
+            "cases": 3, "passed": 1, "findings": 0, "failures": 0, "errors": 1,
+            "exploratory": 1, "max_degree": 3, "exit": 1,
+        }
+        report = Report("0.0-test", "statement=thm12", "1970-01-01T00:00:00Z", 0.0, results)
+        line = render(report, "jsonl").splitlines()[-1]
+        assert list(json.loads(line)["summary"]) == list(summary)
+
+    def test_summary_exit_code(self):
+        passing = verify_case(CaseSpec("thm12", n=1, r=1, j=0))
+        finding = Verdict(CaseSpec("conj32", n=1, r=1, j=1), 4, 0, IntPoly((-1, 1)))
+        failure = Verdict(CaseSpec("thm12", n=1, r=1, j=1), 4, 0, None)
+        error = CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom")
+        assert summarize(())["exit"] == 0
+        assert summarize((passing,))["exit"] == 0
+        assert summarize((passing, finding))["exit"] == 2
+        assert summarize((passing, failure))["exit"] == 1
+        assert summarize((error, finding))["exit"] == 1
+        assert summarize((failure, finding))["exit"] == 1
 
     def test_evaluate_case_captures_errors(self):
         result = evaluate_case(CaseSpec("thm12", n=1, r=1))
@@ -248,7 +250,6 @@ class TestReports:
             timestamp="1970-01-01T00:00:00Z",
             wall_seconds=0.0,
             results=(good, bad),
-            summary=summarize((good, bad)),
         )
         lines = render(report, "jsonl").splitlines()
         error_line = json.loads(lines[3])
@@ -257,12 +258,14 @@ class TestReports:
         assert json.loads(lines[-1])["summary"]["exit"] == 1
         csv_lines = render(report, "csv").splitlines()
         assert len(csv_lines) == 2
+        for fmt in ("text", "jsonl", "csv"):
+            assert emit_report(report, fmt, io.StringIO()) == 1
 
     def test_empty_sweep_is_valid(self):
         spec = SweepSpec("thm12", n_range=(2, 1), r_range=(1, 1))
         report = run_sweep(spec)
-        assert report.summary.cases == 0
-        assert exit_code(report.summary) == 0
+        assert summarize(report.results)["cases"] == 0
+        assert emit_report(report, "csv", io.StringIO()) == 0
         assert render(report, "csv").splitlines() == [CSV_HEADER]
         assert json.loads(render(report, "jsonl").splitlines()[-1])["summary"]["cases"] == 0
         assert render(report, "text").splitlines()[-1].startswith("# summary: cases=0")
@@ -352,6 +355,42 @@ class TestCommandLine:
     def test_single_value_rejects_csv(self, capsys):
         assert main(["qbinom", "4", "2", "--format", "csv"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qbinom", "4", "2"],
+            ["qnarayana", "3", "2"],
+            ["qcatalan", "3"],
+            ["sum", "thm12", "--n", "2", "--r", "1", "--j", "0"],
+            ["sum", "cyclic", "--ns", "2"],
+            ["sum", "gjz", "--ns", "1,1", "--j", "0"],
+            ["proof", "--n", "1", "--r", "2", "--j", "0"],
+        ],
+    )
+    def test_csv_rejected_outside_verify(self, capsys, argv):
+        assert main([*argv, "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qnarayana: error: csv format applies to verify sweeps only\n"
+
+    def test_failed_command_keeps_out_file(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "kept.txt"
+        target.write_text("earlier output\n")
+        assert main(["verify", "thm12", "--n", "0..1", "--r", "1", "--out", str(target)]) == 1
+        assert main(["qbinom", "3", "1", "--format", "csv", "--out", str(target)]) == 1
+        assert target.read_text() == "earlier output\n"
+        assert main(["qbinom", "3", "1", "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == "q^2 + q + 1\n"
+
+        def boom(case):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "verify_case", boom)
+        argv = ["verify", "thm12", "--n", "1", "--r", "1", "--format", "jsonl", "--out", str(target)]
+        assert main(argv) == 1
+        assert json.loads(target.read_text().splitlines()[-1])["summary"]["exit"] == 1
 
     def test_recursion_limit_exits_without_traceback(self, capsys):
         # Once past the old recursion limit of the binomial table.

@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from qnarayana.cli import CaseError, Report, emit_report, main, summarize
+from qnarayana.cli import CaseError, Report, emit_report, main
 from qnarayana.polyarith import IntPoly
 from qnarayana.verify import CaseSpec, Verdict, verify_case
 
@@ -132,7 +132,6 @@ def hand_built_report():
         timestamp="1970-01-01T00:00:00Z",
         wall_seconds=0.0,
         results=results,
-        summary=summarize(results),
     )
 
 

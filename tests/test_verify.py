@@ -184,7 +184,7 @@ class TestReplayProof:
                     power_a = q_integer(2 * n + 1) ** (r - 1)
                     power_b = q_integer(2 * n + 2) ** (r - 1)
                     assert trace.bezout_u * power_a + trace.bezout_v * power_b == ONE
-                    assert trace.quotient * trace.modulus == trace.sum_poly
+                    assert trace.quotient * trace.modulus == trace.sum
                     expected_modulus = q_binomial(2 * n + 1, n) * q_integer(2 * n + 1) ** (
                         r - 1
                     )
