@@ -11,13 +11,11 @@ sweep-and-report command line sit on top.
 __version__ = "0.1.0"
 
 from .errors import (
-    InvalidModulus,
     InvalidParameter,
     NotDivisible,
     ProofError,
 )
 from .polyarith import (
-    NEG_INF,
     ONE,
     Q,
     ZERO,
@@ -58,11 +56,9 @@ from .verify import (
 
 __all__ = [
     "__version__",
-    "InvalidModulus",
     "InvalidParameter",
     "NotDivisible",
     "ProofError",
-    "NEG_INF",
     "ZERO",
     "ONE",
     "Q",

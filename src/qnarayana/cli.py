@@ -29,6 +29,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -36,11 +37,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import InvalidModulus, InvalidParameter, NotDivisible, ProofError
+from .errors import InvalidParameter, NotDivisible, ProofError
 from .polyarith import IntPoly
 from .qobjects import q_binomial, q_catalan, q_narayana
-from .sums import cyclic_sum, gjz_sum, thm12_sum
+from .sums import cyclic_sum, gjz_sum, thm12_sum, validated_ns
 from .verify import (
+    PARAMS,
     STATEMENTS,
     CaseSpec,
     Verdict,
@@ -52,11 +54,7 @@ from .verify import (
 
 _CSV_COLUMNS = (
     "statement",
-    "n",
-    "r",
-    "j",
-    "ns",
-    "f",
+    *PARAMS,
     "shift",
     "divisible",
     "quotient_nonneg",
@@ -105,8 +103,7 @@ class SweepSpec:
             if self.ns is not None:
                 if self.m_range is not None or self.ni_max is not None:
                     raise InvalidParameter("--ns excludes --m and --ni-max")
-                if not self.ns or any(not isinstance(v, int) or v < 1 for v in self.ns):
-                    raise InvalidParameter(f"ns entries must be integers >= 1, got {self.ns}")
+                validated_ns(self.ns)
             else:
                 if self.m_range is None or self.ni_max is None:
                     raise InvalidParameter(
@@ -246,8 +243,8 @@ def summarize(results):
 
 
 def run_sweep(spec, jobs=1):
-    """Expand, evaluate (across jobs worker processes when jobs > 1), and
-    package a Report.
+    """Expand, evaluate, and package a Report.  Cases are spread over
+    min(jobs, cases, CPUs) worker processes when that is more than one.
 
     Results are gathered back into expansion order, so the report content is
     independent of the worker count.
@@ -257,9 +254,10 @@ def run_sweep(spec, jobs=1):
     spec.validate()
     cases = spec.expand()
     start = time.perf_counter()
-    if jobs > 1 and len(cases) > 1:
-        chunksize = max(1, len(cases) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    if workers > 1:
+        chunksize = max(1, len(cases) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(evaluate_case, cases, chunksize=chunksize))
     else:
         results = tuple(evaluate_case(case) for case in cases)
@@ -421,7 +419,7 @@ def build_parser():
         type=int,
         default=1,
         metavar="W",
-        help="worker processes for verify sweeps (default 1)",
+        help="at most W worker processes for verify sweeps (default 1)",
     )
     common.add_argument(
         "--out",
@@ -577,7 +575,10 @@ def main(argv=None):
     except NotDivisible as exc:
         print(f"qnarayana: not a polynomial: {exc}", file=sys.stderr)
         return 1
-    except (InvalidParameter, InvalidModulus, OSError) as exc:
+    except ArithmeticError as exc:
+        print(f"qnarayana: internal error: {exc}", file=sys.stderr)
+        return 1
+    except (InvalidParameter, OSError) as exc:
         print(f"qnarayana: error: {exc}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as exc:

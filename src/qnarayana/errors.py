@@ -15,10 +15,5 @@ class NotDivisible(ArithmeticError):
         self.remainder = remainder
 
 
-class InvalidModulus(ValueError):
-    """Divisibility was requested modulo a polynomial whose constant term is
-    not 1, which the divisibility checks here do not cover."""
-
-
 class ProofError(RuntimeError):
     """A step of the proof replay failed to hold: a falsification event."""

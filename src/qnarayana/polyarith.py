@@ -7,8 +7,8 @@ of returning a best effort, because a nonzero remainder is a meaningful
 mathematical event for the congruence checks built on top of this module.
 
 Values are immutable and normalized: trailing zero coefficients are stripped
-on construction, the zero polynomial is the empty coefficient tuple, and the
-degree of zero is the sentinel ``NEG_INF`` rather than a fake integer.
+on construction, the zero polynomial is the empty coefficient tuple, and its
+degree is -1.
 
 ``IntPoly`` multiplication is dispatched on size.  When both factors have
 more than ``KRONECKER_THRESHOLD`` terms it uses Kronecker substitution: each
@@ -45,8 +45,6 @@ from operator import add, sub
 
 from .errors import InvalidParameter, NotDivisible
 
-NEG_INF = float("-inf")
-
 # IntPoly.__mul__ uses Kronecker substitution when both factors have more
 # terms than this, and the schoolbook loop otherwise.  Measured on CPython
 # 3.11 (x86-64): Kronecker is slower below 16 terms and faster from 18 on,
@@ -82,7 +80,7 @@ class IntPoly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.coeffs) - 1
 
     @property
     def constant(self):

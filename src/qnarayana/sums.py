@@ -63,7 +63,9 @@ class NormalizedSum:
     shift: int
 
 
-def _validated_ns(ns):
+def validated_ns(ns):
+    """A chain as a tuple; InvalidParameter unless it is a nonempty
+    sequence of integers >= 1."""
     indices = tuple(ns)
     if not indices:
         raise InvalidParameter("at least one chain index is required")
@@ -133,7 +135,7 @@ def cyclic_sum(ns, f):
     produced by f and is computed over the whole window, including terms
     whose binomial product vanishes.
     """
-    ns = _validated_ns(ns)
+    ns = validated_ns(ns)
     n1 = ns[0]
     exponents = [eval_int(f, k) + binom2(k) for k in range(-n1, n1 + 1)]
     shift = max(0, -min(exponents))
@@ -144,7 +146,7 @@ def cyclic_sum(ns, f):
 def cyclic_modulus(ns):
     """qbinom(n1 + n_last + 1, n1) times the product over adjacent pairs of
     the q-integers [ni + n_next + 1]; constant term 1 and monic."""
-    ns = _validated_ns(ns)
+    ns = validated_ns(ns)
     modulus = q_binomial(ns[0] + ns[-1] + 1, ns[0])
     for i in range(len(ns) - 1):
         modulus = modulus * q_integer(ns[i] + ns[i + 1] + 1)
@@ -180,7 +182,7 @@ def gjz_sum(ns, j):
     whole denominator would.  NotDivisible propagates to the caller as a
     reportable event (it is guaranteed impossible for 0 <= j <= m-1).
     """
-    ns = _validated_ns(ns)
+    ns = validated_ns(ns)
     if j < 0:
         raise InvalidParameter(f"j must be >= 0, got {j}")
     terms, numerator, denominator = _gjz_chain(ns)

@@ -22,10 +22,10 @@ fast; the integer route is authoritative at every size.
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InvalidModulus, InvalidParameter, NotDivisible, ProofError
+from .errors import InvalidParameter, NotDivisible, ProofError
 from .polyarith import ONE, Q, IntPoly, eval_int, exact_div, gcd_bezout, is_nonneg
-from .qobjects import catalan_int, narayana_int, q_binomial, q_catalan, q_integer
-from .sums import cyclic_modulus, cyclic_sum, gjz_sum, thm12_sum
+from .qobjects import catalan_int, narayana_int, q_catalan, q_integer
+from .sums import cyclic_modulus, cyclic_sum, gjz_sum, thm12_sum, validated_ns
 
 # Exponent polynomials swept for conj34 when --f-suite is not given: zero,
 # the quadratic recovering the j=1 theorem case, a mixed quadratic, k^3, whose
@@ -41,7 +41,7 @@ DEFAULT_F_SUITE = (
 )
 
 # CaseSpec parameters in record order.
-_PARAMS = ("n", "r", "j", "ns", "f")
+PARAMS = ("n", "r", "j", "ns", "f")
 
 # thm11 cross-checks the polynomial route only up to this n: its thm12_sum is
 # almost all Kronecker products, and uncapped `verify thm11 --r 1..4` goes from
@@ -70,7 +70,7 @@ class CaseSpec:
 
     def validate(self):
         fields = get_statement(self.statement).fields
-        for field in _PARAMS:
+        for field in PARAMS:
             value = getattr(self, field)
             if field in fields and value is None:
                 raise InvalidParameter(f"{self.statement} requires {field}")
@@ -83,11 +83,7 @@ class CaseSpec:
         if self.j is not None and self.j < 0:
             raise InvalidParameter(f"j must be >= 0, got {self.j}")
         if self.ns is not None:
-            if not self.ns:
-                raise InvalidParameter("ns must be nonempty")
-            for v in self.ns:
-                if not isinstance(v, int) or v < 1:
-                    raise InvalidParameter(f"ns entries must be integers >= 1, got {v!r}")
+            validated_ns(self.ns)
         if self.f is not None and not isinstance(self.f, IntPoly):
             raise InvalidParameter(f"f must be an IntPoly, got {self.f!r}")
 
@@ -102,7 +98,7 @@ class CaseSpec:
     def params(self):
         """(name, value) of each parameter that is set, in the order n, r,
         j, ns, f."""
-        return [(name, value) for name in _PARAMS if (value := getattr(self, name)) is not None]
+        return [(name, value) for name in PARAMS if (value := getattr(self, name)) is not None]
 
 
 @dataclass(frozen=True)
@@ -110,9 +106,9 @@ class Verdict:
     """Outcome of one case.  quotient is the exact quotient, or None when the
     modulus does not divide the sum; the three flags derive from it and the case.
 
-    sum_degree is the degree of the polynomial the claim was tested on, with
-    -1 standing in for the zero polynomial (integer statements count as
-    constants); shift is the normalization power of q factored out of the sum.
+    sum_degree is the degree of the polynomial the claim was tested on, -1
+    for the zero polynomial (integer statements count as constants); shift
+    is the normalization power of q factored out of the sum.
     """
 
     case: CaseSpec
@@ -158,9 +154,7 @@ def check_divisibility(poly, modulus):
     is returned.
     """
     if not modulus or modulus.constant != 1:
-        raise InvalidModulus(
-            f"modulus must have constant term 1, got {modulus}"
-        )
+        raise InvalidParameter(f"modulus must have constant term 1, got {modulus}")
     try:
         quotient = exact_div(poly, modulus)
     except NotDivisible:
@@ -168,12 +162,6 @@ def check_divisibility(poly, modulus):
     if quotient * modulus != poly:
         raise ArithmeticError("division re-multiplication mismatch")
     return quotient
-
-
-def _poly_verdict(case, poly, shift, quotient):
-    """Verdict on a built sum, given its normalization shift and its quotient
-    (None if not divisible)."""
-    return Verdict(case, poly.degree if poly else -1, shift, quotient)
 
 
 def _int_verdict(case, total, modulus):
@@ -204,7 +192,7 @@ def _verify_thm11(case):
 
 def _verify_narayana_power(case):
     summed = thm12_sum(case.n, case.r, case.j)
-    return _poly_verdict(case, summed, 0, check_divisibility(summed, q_catalan(case.n)))
+    return Verdict(case, summed.degree, 0, check_divisibility(summed, q_catalan(case.n)))
 
 
 def _verify_conj31(case):
@@ -237,7 +225,7 @@ def _verify_cyclic(case):
     f = IntPoly((0, 0, case.j)) if case.f is None else case.f
     summed = cyclic_sum(case.ns, f)
     quotient = check_divisibility(summed.poly, cyclic_modulus(case.ns))
-    return _poly_verdict(case, summed.poly, summed.shift, quotient)
+    return Verdict(case, summed.poly.degree, summed.shift, quotient)
 
 
 def _verify_gjz(case):
@@ -245,7 +233,7 @@ def _verify_gjz(case):
         poly = gjz_sum(case.ns, case.j)
     except NotDivisible:
         return Verdict(case, -1, 0, None)
-    return _poly_verdict(case, poly, 0, poly)
+    return Verdict(case, poly.degree, 0, poly)
 
 
 @dataclass(frozen=True)
@@ -327,9 +315,10 @@ def replay_proof(n, r, j):
     event, never swallowed."""
     if n < 1 or r < 1:
         raise InvalidParameter(f"n and r must be >= 1, got n={n}, r={r}")
-    if not 0 <= j <= 2 * r - 1:
+    if not 0 <= j < STATEMENTS["thm12"].j_count(r, None):
         raise InvalidParameter(f"j must satisfy 0 <= j <= 2r-1, got {j}")
-    summed = cyclic_sum((n,) * r, IntPoly((0, 0, j)))
+    ns = (n,) * r
+    summed = cyclic_sum(ns, IntPoly((0, 0, j)))
     if summed.shift:
         raise ProofError(f"unexpected normalization shift {summed.shift}")
     # [2n+2] - q*[2n+1] = 1 gives the base cofactors (-q, 1).
@@ -341,13 +330,9 @@ def replay_proof(n, r, j):
     power_a, power_b = base_a ** (r - 1), base_b ** (r - 1)
     if u * power_a + v * power_b != ONE:
         raise ProofError(f"Bezout identity failed to re-expand at n={n}, r={r}")
-    modulus = q_binomial(2 * n + 1, n) * power_a
-    try:
-        quotient = exact_div(summed.poly, modulus)
-    except NotDivisible as exc:
-        raise ProofError(
-            f"sum is not divisible by the modulus at n={n}, r={r}, j={j}"
-        ) from exc
-    if quotient * modulus != summed.poly:
-        raise ProofError(f"quotient re-multiplication mismatch at n={n}, r={r}, j={j}")
+    # The cyclic modulus of (n,)*r is qbinom(2n+1, n) * [2n+1]^(r-1).
+    modulus = cyclic_modulus(ns)
+    quotient = check_divisibility(summed.poly, modulus)
+    if quotient is None:
+        raise ProofError(f"sum is not divisible by the modulus at n={n}, r={r}, j={j}")
     return ProofTrace(n, r, j, summed.poly, modulus, u, v, quotient)

@@ -288,6 +288,48 @@ class TestDeterminism:
             assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
 
 
+class TestWorkers:
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        """Worker counts asked of a stand-in pool that maps in this process."""
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        return requested
+
+    def two_cases(self):
+        return SweepSpec("thm12", n_range=(1, 1), r_range=(1, 1))
+
+    def test_workers_bounded_by_cases(self, requested, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        report = run_sweep(self.two_cases(), jobs=64)
+        assert requested == [2]
+        assert len(report.results) == 2
+
+    def test_workers_bounded_by_cpus(self, requested, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        run_sweep(self.two_cases(), jobs=64)
+        assert requested == []
+
+    def test_one_job_builds_no_pool(self, requested):
+        report = run_sweep(self.two_cases(), jobs=1)
+        assert requested == []
+        assert len(report.results) == 2
+
+
 class TestCommandLine:
     def test_parse_range(self):
         assert _parse_range("3") == (3, 3)
@@ -410,6 +452,17 @@ class TestCommandLine:
         assert err.startswith("qnarayana: error: input too large (")
         assert "Traceback" not in err
 
+    def test_internal_error_exits_without_traceback(self, monkeypatch, capsys):
+        def broken(n):
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr(cli, "q_catalan", broken)
+        assert main(["qcatalan", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qnarayana: internal error: boom\n"
+        assert "Traceback" not in captured.err
+
     def test_invalid_parameter_exits_one(self, capsys):
         assert main(["qcatalan", "0"]) == 1
         assert "error" in capsys.readouterr().err
@@ -436,6 +489,7 @@ class TestCommandLine:
             (["verify", "conj31", "--j-max", "2"], "does not take j options"),
             (["verify", "thm12", "--j-mode", "extended", "--j-max", "3"],
              "unrecognized arguments: --j-mode extended"),
+            (["verify", "conj31", "--ns", "0,1"], "chain indices must be integers >= 1, got 0"),
         ],
     )
     def test_sweep_option_errors_exit_one(self, capsys, argv, message):

@@ -3,7 +3,7 @@
 import pytest
 
 from qnarayana import verify
-from qnarayana.errors import InvalidModulus, InvalidParameter, ProofError
+from qnarayana.errors import InvalidParameter, ProofError
 from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div
 from qnarayana.qobjects import q_binomial, q_integer
 from qnarayana.sums import cyclic_modulus, cyclic_sum
@@ -57,11 +57,11 @@ class TestCheckDivisibility:
         assert check_divisibility(IntPoly((1, 1)), IntPoly((1, 1, 1))) is None
 
     def test_rejects_bad_modulus(self):
-        with pytest.raises(InvalidModulus):
+        with pytest.raises(InvalidParameter):
             check_divisibility(ONE, ZERO)
-        with pytest.raises(InvalidModulus):
+        with pytest.raises(InvalidParameter):
             check_divisibility(ONE, IntPoly((2,)))
-        with pytest.raises(InvalidModulus):
+        with pytest.raises(InvalidParameter):
             check_divisibility(ONE, Q)
 
 
@@ -193,6 +193,11 @@ class TestReplayProof:
     def test_failed_base_identity_raises(self, monkeypatch):
         monkeypatch.setattr(verify, "q_integer", lambda m: IntPoly((2,) * m))
         with pytest.raises(ProofError, match="is not 1"):
+            replay_proof(1, 2, 0)
+
+    def test_failed_division_raises(self, monkeypatch):
+        monkeypatch.setattr(verify, "check_divisibility", lambda poly, modulus: None)
+        with pytest.raises(ProofError, match="not divisible by the modulus"):
             replay_proof(1, 2, 0)
 
     def test_rejects_out_of_range_parameters(self):
