@@ -26,6 +26,7 @@ from .polyarith import (
     is_nonneg,
 )
 from .qobjects import (
+    catalan_factors,
     catalan_int,
     narayana_int,
     q_binomial,
@@ -38,6 +39,7 @@ from .sums import (
     NormalizedSum,
     binom2,
     cyclic_modulus,
+    cyclic_modulus_factors,
     cyclic_sum,
     gjz_sum,
     thm12_sum,
@@ -72,6 +74,7 @@ __all__ = [
     "q_binomial",
     "q_narayana",
     "q_catalan",
+    "catalan_factors",
     "narayana_int",
     "catalan_int",
     "NormalizedSum",
@@ -79,6 +82,7 @@ __all__ = [
     "thm12_sum",
     "cyclic_sum",
     "cyclic_modulus",
+    "cyclic_modulus_factors",
     "gjz_sum",
     "STATEMENTS",
     "Statement",

@@ -26,8 +26,13 @@ Every q-analogue built on this module is a ratio of factors (1 - q^t), so
 two one-pass kernels handle such a factor without a general product or long
 division: ``mul_one_minus_qt`` subtracts a shifted copy, and
 ``div_one_minus_qt`` runs the recurrence c[i] += c[i-t] and checks that the
-top t coefficients vanish.  ``sum_shifted`` adds many shifted polynomials
-into one coefficient list.
+top t coefficients vanish.  ``mul_ratio`` applies a whole ratio of such
+factors, every multiply first and then one exact division per factor, and
+``cancel_factors`` removes the factors a ratio's numerator and denominator
+share.  ``sum_shifted`` adds many shifted polynomials into one coefficient
+list.  Long division (``divmod_poly``, ``exact_div``) is left to
+``gcd_bezout``, which needs a true remainder, and to the tests as the
+reference for these kernels.
 
 The public ``IntPoly(...)`` constructor checks that every coefficient is an
 int.  Results of this module's own arithmetic (``+``, ``-``, ``*``,
@@ -38,6 +43,7 @@ ints produced by that arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -289,6 +295,30 @@ def div_one_minus_qt(a, t):
         rem = [c[top + (s - top) % t] for s in range(len(c) - top)]
         raise NotDivisible(f"nonzero remainder modulo 1 - q^{t}", remainder=_trusted(rem))
     return _trusted(c[:top])
+
+
+def mul_ratio(a, mul_ts, div_ts):
+    """a times the product of (1 - q**t) over mul_ts, divided exactly by
+    the product of (1 - q**t) over div_ts.
+
+    Every multiply comes first, then one exact division per factor.  Each
+    factor is monic up to sign, so the divisions all succeed exactly when
+    the whole product over div_ts divides, and give the same quotient;
+    raises the NotDivisible of the first division that fails.
+    """
+    for t in mul_ts:
+        a = mul_one_minus_qt(a, t)
+    for t in div_ts:
+        a = div_one_minus_qt(a, t)
+    return a
+
+
+def cancel_factors(up, down):
+    """The t of a ratio's numerator factors (1 - q**t) and of its
+    denominator factors, each as a sorted tuple once the factors common to
+    both are removed."""
+    up, down = Counter(up), Counter(down)
+    return tuple(sorted((up - down).elements())), tuple(sorted((down - up).elements()))
 
 
 def sum_shifted(terms):

@@ -100,6 +100,14 @@ def q_catalan(n):
     return value
 
 
+def catalan_factors(n):
+    """The t of the factors (1 - q^t) of q_catalan(n) as a ratio, the
+    numerator's and the denominator's: qbinom(2n, n) / [n+1] is the product
+    of (1 - q^t) over n+2 <= t <= 2n divided by the product over 2 <= t <= n,
+    once (1 - q^(n+1)) and (1 - q) cancel."""
+    return tuple(range(n + 2, 2 * n + 1)), tuple(range(2, n + 1))
+
+
 def narayana_int(n, k):
     """Classical Narayana number choose(n,k)*choose(n,k-1)/n, zero outside
     1 <= k <= n.  Computed over plain integers, not by evaluating the

@@ -19,7 +19,8 @@ triangular number k(k-1)/2.  Three families are provided:
 The per-k binomial products of a chain do not depend on j or f, and a sweep
 evaluates all j (or f) of one chain in a row, so the chain families keep the
 last chain's products in a one-entry cache and a call only shifts and sums
-them.  thm12_sum keeps every q-Narayana power: power r is built from r - 1.
+them.  thm12_sum keeps every q-Narayana power: power r is built from r - 1,
+and the k and -k terms share one power.
 
 Sign and exponent conventions for negative k: (-1)^k is the parity of |k|,
 and k(k-1)/2 is evaluated by formula, so it is a nonnegative integer for
@@ -32,19 +33,11 @@ verdicts are unaffected because every modulus in scope has constant term 1
 and is therefore coprime to q.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import InvalidParameter
-from .polyarith import (
-    ONE,
-    IntPoly,
-    div_one_minus_qt,
-    eval_int,
-    mul_one_minus_qt,
-    sum_shifted,
-)
+from .polyarith import ONE, IntPoly, cancel_factors, eval_int, mul_ratio, sum_shifted
 from .qobjects import q_binomial, q_integer, q_narayana
 
 
@@ -95,7 +88,9 @@ def thm12_sum(n, r, j):
         raise InvalidParameter(f"j must be >= 0, got {j}")
     terms = []
     for k in range(-n, n + 1):
-        power = _narayana_power(2 * n + 1, n + k + 1, r)
+        # q_narayana(m, i) == q_narayana(m, m + 1 - i), as qbinom(m, i) ==
+        # qbinom(m, m - i); with m = 2n+1, the k and -k terms are equal.
+        power = _narayana_power(2 * n + 1, n + abs(k) + 1, r)
         terms.append((j * k * k + binom2(k), -power if k % 2 else power))
     return sum_shifted(terms)
 
@@ -153,6 +148,17 @@ def cyclic_modulus(ns):
     return modulus
 
 
+def cyclic_modulus_factors(ns):
+    """The t of the factors (1 - q^t) of cyclic_modulus(ns) as a ratio,
+    the numerator's and the denominator's, with the common ones cancelled:
+    qbinom(a, b) is the product over 1 <= t <= b of (1 - q^(a-b+t)) /
+    (1 - q^t), and [m] is (1 - q^m) / (1 - q)."""
+    ns = validated_ns(ns)
+    n1, nm = ns[0], ns[-1]
+    up = [*range(nm + 2, n1 + nm + 2), *(a + b + 1 for a, b in zip(ns, ns[1:]))]
+    return cancel_factors(up, [*range(1, n1 + 1), *(1,) * (len(ns) - 1)])
+
+
 @lru_cache(maxsize=1)
 def _gjz_chain(ns):
     """The j-independent parts of gjz_sum for one chain: its signed per-k
@@ -161,12 +167,10 @@ def _gjz_chain(ns):
     terms = _signed_products(ns[0], lambda k: (q_binomial(2 * ni, ni + k) for ni in ns))
     # (q;q)_a is the product of (1 - q^t) over 1 <= t <= a.
     chain = ns + (0,)
-    numerator = Counter(range(1, ns[0] + 1))
+    numerator = [*range(1, ns[0] + 1)]
     for i in range(len(ns)):
-        numerator.update(range(1, chain[i] + chain[i + 1] + 1))
-    denominator = Counter(t for ni in ns for t in range(1, 2 * ni + 1))
-    return (terms, tuple(sorted((numerator - denominator).elements())),
-            tuple(sorted((denominator - numerator).elements())))
+        numerator += range(1, chain[i] + chain[i + 1] + 1)
+    return (terms, *cancel_factors(numerator, (t for ni in ns for t in range(1, 2 * ni + 1))))
 
 
 def gjz_sum(ns, j):
@@ -187,8 +191,4 @@ def gjz_sum(ns, j):
         raise InvalidParameter(f"j must be >= 0, got {j}")
     terms, numerator, denominator = _gjz_chain(ns)
     total = sum_shifted((j * k * k + binom2(k), prod) for k, prod in terms)
-    for t in numerator:
-        total = mul_one_minus_qt(total, t)
-    for t in denominator:
-        total = div_one_minus_qt(total, t)
-    return total
+    return mul_ratio(total, numerator, denominator)

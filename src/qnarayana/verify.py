@@ -23,9 +23,16 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidParameter, NotDivisible, ProofError
-from .polyarith import ONE, Q, IntPoly, eval_int, exact_div, gcd_bezout, is_nonneg
-from .qobjects import catalan_int, narayana_int, q_catalan, q_integer
-from .sums import cyclic_modulus, cyclic_sum, gjz_sum, thm12_sum, validated_ns
+from .polyarith import ONE, Q, IntPoly, eval_int, gcd_bezout, is_nonneg, mul_ratio
+from .qobjects import catalan_factors, catalan_int, narayana_int, q_catalan, q_integer
+from .sums import (
+    cyclic_modulus,
+    cyclic_modulus_factors,
+    cyclic_sum,
+    gjz_sum,
+    thm12_sum,
+    validated_ns,
+)
 
 # Exponent polynomials swept for conj34 when --f-suite is not given: zero,
 # the quadratic recovering the j=1 theorem case, a mixed quadratic, k^3, whose
@@ -45,7 +52,7 @@ PARAMS = ("n", "r", "j", "ns", "f")
 
 # thm11 cross-checks the polynomial route only up to this n: its thm12_sum is
 # almost all Kronecker products, and uncapped `verify thm11 --r 1..4` goes from
-# 0.96 to 5.9 s at --n 1..20 and 0.84 to 66 s at --n 1..30 (2-vCPU Xeon).
+# 0.39 to 2.6 s at --n 1..20 and 0.34 to 37 s at --n 1..30 (2-vCPU Xeon).
 _POLY_CROSS_CHECK_LIMIT = 14
 
 
@@ -146,17 +153,28 @@ class ProofTrace:
     quotient: IntPoly
 
 
-def check_divisibility(poly, modulus):
+def check_divisibility(poly, modulus, factors):
     """Exact quotient of a polynomial by a modulus with constant term 1, or
     None when the modulus does not divide it.
 
-    The quotient is re-multiplied against the modulus and compared before it
-    is returned.
+    factors is the pair (up, down) of multisets of t for which the modulus
+    is the product of (1 - q^t) over up divided by the product over down;
+    InvalidParameter unless their degrees add up to the modulus's.  The
+    quotient is poly times each down factor, divided exactly by each up
+    factor in turn.  Every factor is monic up to sign, so this succeeds
+    exactly when the modulus divides poly, with the same quotient.  The
+    quotient is re-multiplied against the modulus and compared before it is
+    returned.
     """
     if not modulus or modulus.constant != 1:
         raise InvalidParameter(f"modulus must have constant term 1, got {modulus}")
+    up, down = factors
+    if sum(up) - sum(down) != modulus.degree:
+        raise InvalidParameter(
+            f"factors of degree {sum(up) - sum(down)} for a modulus of degree {modulus.degree}"
+        )
     try:
-        quotient = exact_div(poly, modulus)
+        quotient = mul_ratio(poly, down, up)
     except NotDivisible:
         return None
     if quotient * modulus != poly:
@@ -191,8 +209,10 @@ def _verify_thm11(case):
 
 
 def _verify_narayana_power(case):
-    summed = thm12_sum(case.n, case.r, case.j)
-    return Verdict(case, summed.degree, 0, check_divisibility(summed, q_catalan(case.n)))
+    n = case.n
+    summed = thm12_sum(n, case.r, case.j)
+    quotient = check_divisibility(summed, q_catalan(n), catalan_factors(n))
+    return Verdict(case, summed.degree, 0, quotient)
 
 
 def _verify_conj31(case):
@@ -224,7 +244,8 @@ def _verify_cyclic(case):
     """conj34 at its exponent polynomial f; conj33 is conj34 at f = j*k^2."""
     f = IntPoly((0, 0, case.j)) if case.f is None else case.f
     summed = cyclic_sum(case.ns, f)
-    quotient = check_divisibility(summed.poly, cyclic_modulus(case.ns))
+    modulus = cyclic_modulus(case.ns)
+    quotient = check_divisibility(summed.poly, modulus, cyclic_modulus_factors(case.ns))
     return Verdict(case, summed.poly.degree, summed.shift, quotient)
 
 
@@ -332,7 +353,7 @@ def replay_proof(n, r, j):
         raise ProofError(f"Bezout identity failed to re-expand at n={n}, r={r}")
     # The cyclic modulus of (n,)*r is qbinom(2n+1, n) * [2n+1]^(r-1).
     modulus = cyclic_modulus(ns)
-    quotient = check_divisibility(summed.poly, modulus)
+    quotient = check_divisibility(summed.poly, modulus, cyclic_modulus_factors(ns))
     if quotient is None:
         raise ProofError(f"sum is not divisible by the modulus at n={n}, r={r}, j={j}")
     return ProofTrace(n, r, j, summed.poly, modulus, u, v, quotient)

@@ -15,6 +15,7 @@ from qnarayana.polyarith import (
     Q,
     ZERO,
     IntPoly,
+    cancel_factors,
     div_one_minus_qt,
     divmod_poly,
     eval_int,
@@ -22,6 +23,7 @@ from qnarayana.polyarith import (
     gcd_bezout,
     is_nonneg,
     mul_one_minus_qt,
+    mul_ratio,
     mul_schoolbook,
     sum_shifted,
 )
@@ -279,6 +281,17 @@ class TestOneMinusQtKernels:
         for shift, poly in terms:
             expected = expected + poly.shift(shift)
         assert sum_shifted(terms) == expected
+
+    def test_mul_ratio_pinned(self):
+        # (1 - q^4) / (1 - q^2) = 1 + q^2; 1 + q is not a multiple of 1 - q^2.
+        assert mul_ratio(ONE, (4,), (2,)) == IntPoly((1, 0, 1))
+        assert mul_ratio(IntPoly((1, 1)), (), ()) == IntPoly((1, 1))
+        with pytest.raises(NotDivisible):
+            mul_ratio(IntPoly((1, 1)), (1,), (2, 3))
+
+    def test_cancel_factors(self):
+        assert cancel_factors([1, 2, 2, 5], (2, 3, 1)) == ((2, 5), (3,))
+        assert cancel_factors((), [4, 4]) == ((), (4, 4))
 
     def test_sum_shifted_rejects_negative_shift(self):
         with pytest.raises(InvalidParameter):

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from qnarayana.errors import InvalidParameter
-from qnarayana.polyarith import ONE, ZERO, IntPoly, eval_int, exact_div, is_nonneg
+from qnarayana.polyarith import ONE, ZERO, IntPoly, eval_int, exact_div, is_nonneg, mul_ratio
 from qnarayana.qobjects import (
     _qbinom,
+    catalan_factors,
     catalan_int,
     narayana_int,
     q_binomial,
@@ -176,6 +177,12 @@ class TestQNarayana:
             for k in range(1, n + 1):
                 assert eval_int(q_narayana(n, k), 1) == narayana_int(n, k)
 
+    def test_reflection(self):
+        # thm12_sum builds one power for its k and -k terms on this identity.
+        for n in range(1, 26):
+            for k in range(n + 2):
+                assert q_narayana(n, k) == q_narayana(n, n + 1 - k), (n, k)
+
 
 class TestQCatalan:
     def test_pinned(self):
@@ -196,6 +203,11 @@ class TestQCatalan:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParameter):
             q_catalan(0)
+
+    def test_factors_give_the_product_formula(self):
+        assert catalan_factors(3) == ((5, 6), (2, 3))
+        for n in range(1, 31):
+            assert mul_ratio(ONE, *catalan_factors(n)) == q_catalan(n), n
 
 
 class TestClassicalIntegers:

@@ -8,16 +8,18 @@ from math import comb
 import pytest
 
 from qnarayana.errors import InvalidParameter
-from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, eval_int, exact_div, is_nonneg
+from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, eval_int, exact_div, is_nonneg, mul_ratio
 from qnarayana.qobjects import q_binomial, q_integer, q_narayana, q_shifted_factorial
 from qnarayana.sums import (
     NormalizedSum,
     binom2,
     cyclic_modulus,
+    cyclic_modulus_factors,
     cyclic_sum,
     gjz_sum,
     thm12_sum,
 )
+from qnarayana.verify import STATEMENTS
 
 
 def comb0(n, k):
@@ -244,6 +246,23 @@ class TestCyclicModulus:
     def test_rejects_bad_chain(self):
         with pytest.raises(InvalidParameter):
             cyclic_modulus(())
+        with pytest.raises(InvalidParameter):
+            cyclic_modulus_factors(())
+
+    def test_factors_pinned(self):
+        # qbinom(5, 2) * [5] = (1-q^4)(1-q^5)(1-q^5) / ((1-q)(1-q^2)(1-q)).
+        assert cyclic_modulus_factors((2, 2)) == ((4, 5, 5), (1, 1, 2))
+        # qbinom(5, 3) * [5]: the (1 - q^3) above and below cancel.
+        assert cyclic_modulus_factors((3, 1)) == ((4, 5, 5), (1, 1, 2))
+
+    def test_factors_give_the_modulus(self):
+        chains = {(n,) * r for n in range(1, 13) for r in range(1, 5)}
+        for name in ("conj31", "conj33", "conj34"):
+            ranges = STATEMENTS[name].ranges
+            for m in range(ranges["m_range"][0], ranges["m_range"][1] + 1):
+                chains.update(itertools.product(range(1, ranges["ni_max"] + 1), repeat=m))
+        for ns in sorted(chains):
+            assert mul_ratio(ONE, *cyclic_modulus_factors(ns)) == cyclic_modulus(ns), ns
 
 
 class TestGjzSum:

@@ -1,9 +1,13 @@
 """Verdict construction, statement classification, and the proof replay."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qnarayana import verify
-from qnarayana.errors import InvalidParameter, ProofError
+import qnarayana
+from qnarayana import cli, polyarith, qobjects, sums, verify
+from qnarayana.cli import main
+from qnarayana.errors import InvalidParameter, NotDivisible, ProofError
 from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div
 from qnarayana.qobjects import q_binomial, q_integer
 from qnarayana.sums import cyclic_modulus, cyclic_sum
@@ -44,25 +48,124 @@ class TestStatementCatalog:
         }
 
 
+# Coefficients up to 2**100 of either sign, 0 to 20 terms.
+wide_polys = st.lists(
+    st.one_of(st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=-(2**100), max_value=2**100)),
+    max_size=20,
+).map(lambda cs: IntPoly(tuple(cs)))
+
+# (up, down) multisets whose ratio is a polynomial: pairs (c*t, t), since
+# 1 - q^t divides 1 - q^(c*t), plus numerator factors of their own.
+factor_ratios = st.tuples(
+    st.lists(st.tuples(st.integers(min_value=1, max_value=8),
+                       st.integers(min_value=1, max_value=4)), max_size=4),
+    st.lists(st.integers(min_value=1, max_value=12), max_size=3),
+).map(lambda parts: ([c * t for t, c in parts[0]] + parts[1], [t for t, _ in parts[0]]))
+
+
+def modulus_by_long_division(up, down):
+    """The product of (1 - q^t) over up divided by that over down, by the
+    general multiply and long division."""
+    numerator = denominator = ONE
+    for t in up:
+        numerator = numerator * (ONE - ONE.shift(t))
+    for t in down:
+        denominator = denominator * (ONE - ONE.shift(t))
+    return exact_div(numerator, denominator)
+
+
+def long_division_outcome(poly, modulus):
+    try:
+        return exact_div(poly, modulus)
+    except NotDivisible:
+        return None
+
+
 class TestCheckDivisibility:
     def test_pinned_divisible(self):
-        quotient = check_divisibility(IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1)), IntPoly((1, 0, 1)))
+        quotient = check_divisibility(
+            IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1)), IntPoly((1, 0, 1)), ((4,), (2,))
+        )
         assert quotient == IntPoly((0, 0, 0, 0, 0, 0, 1))
 
     def test_pinned_trivial_modulus_with_negative_quotient(self):
-        quotient = check_divisibility(IntPoly((1, 1, 0, -1)), ONE)
+        quotient = check_divisibility(IntPoly((1, 1, 0, -1)), ONE, ((), ()))
         assert quotient == IntPoly((1, 1, 0, -1))
 
     def test_pinned_not_divisible(self):
-        assert check_divisibility(IntPoly((1, 1)), IntPoly((1, 1, 1))) is None
+        assert check_divisibility(IntPoly((1, 1)), IntPoly((1, 1, 1)), ((3,), (1,))) is None
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(InvalidParameter):
-            check_divisibility(ONE, ZERO)
+            check_divisibility(ONE, ZERO, ((), ()))
         with pytest.raises(InvalidParameter):
-            check_divisibility(ONE, IntPoly((2,)))
+            check_divisibility(ONE, IntPoly((2,)), ((), ()))
         with pytest.raises(InvalidParameter):
-            check_divisibility(ONE, Q)
+            check_divisibility(ONE, Q, ((), ()))
+
+    def test_rejects_factors_of_the_wrong_degree(self):
+        with pytest.raises(InvalidParameter, match="degree"):
+            check_divisibility(ONE, IntPoly((1, 0, 1)), ((5,), (1,)))
+
+    @given(factor_ratios, wide_polys)
+    def test_matches_long_division_on_multiples(self, factors, quotient):
+        modulus = modulus_by_long_division(*factors)
+        poly = modulus * quotient
+        assert check_divisibility(poly, modulus, factors) == quotient == exact_div(poly, modulus)
+
+    @given(factor_ratios, wide_polys, wide_polys.filter(bool))
+    def test_matches_long_division_on_perturbed_input(self, factors, quotient, error):
+        modulus = modulus_by_long_division(*factors)
+        poly = modulus * quotient + error
+        assert check_divisibility(poly, modulus, factors) == long_division_outcome(poly, modulus)
+
+
+class TestNoLongDivision:
+    """Sweeps and the proof replay divide one (1 - q^t) factor at a time:
+    general long division runs only inside gcd_bezout."""
+
+    SWEEPS = [
+        ["thm12", "--n", "1..4", "--r", "1..2"],
+        ["conj32", "--n", "1..3", "--r", "1..2", "--j-max", "5"],
+        ["conj33", "--m", "1..2", "--ni-max", "3"],
+        ["conj34", "--m", "1..2", "--ni-max", "3"],
+        ["gjz", "--m", "1..2", "--ni-max", "3", "--j-max", "3"],
+    ]
+
+    def run(self, capsys):
+        outputs = []
+        for args in self.SWEEPS:
+            code = main(["verify", *args, "--format", "csv"])
+            outputs.append((code, capsys.readouterr().out))
+        return outputs, replay_proof(2, 3, 1)
+
+    def test_outputs_unchanged_with_long_division_forbidden(self, monkeypatch, capsys):
+        expected = self.run(capsys)
+        in_bezout = []
+        bezout = verify.gcd_bezout
+
+        def traced_bezout(*args):
+            in_bezout.append(True)
+            try:
+                return bezout(*args)
+            finally:
+                in_bezout.pop()
+
+        def forbidden(fn):
+            def call(*args):
+                if not in_bezout:
+                    raise AssertionError(f"{fn.__name__} called outside gcd_bezout")
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(verify, "gcd_bezout", traced_bezout)
+        for name in ("exact_div", "divmod_poly"):
+            guarded = forbidden(getattr(polyarith, name))
+            for module in (polyarith, qobjects, sums, verify, cli, qnarayana):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, guarded)
+        assert self.run(capsys) == expected
 
 
 class TestCaseSpec:
@@ -196,7 +299,7 @@ class TestReplayProof:
             replay_proof(1, 2, 0)
 
     def test_failed_division_raises(self, monkeypatch):
-        monkeypatch.setattr(verify, "check_divisibility", lambda poly, modulus: None)
+        monkeypatch.setattr(verify, "check_divisibility", lambda poly, modulus, factors: None)
         with pytest.raises(ProofError, match="not divisible by the modulus"):
             replay_proof(1, 2, 0)
 
