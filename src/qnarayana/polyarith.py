@@ -27,12 +27,12 @@ two one-pass kernels handle such a factor without a general product or long
 division: ``mul_one_minus_qt`` subtracts a shifted copy, and
 ``div_one_minus_qt`` runs the recurrence c[i] += c[i-t] and checks that the
 top t coefficients vanish.  ``mul_ratio`` applies a whole ratio of such
-factors, every multiply first and then one exact division per factor, and
-``cancel_factors`` removes the factors a ratio's numerator and denominator
-share.  ``sum_shifted`` adds many shifted polynomials into one coefficient
-list.  Long division (``divmod_poly``, ``exact_div``) is left to
-``gcd_bezout``, which needs a true remainder, and to the tests as the
-reference for these kernels.
+factors, every multiply first and then one exact division per factor;
+``ratio_poly`` caches the polynomial of a ratio, and ``cancel_factors``
+removes the factors its numerator and denominator share.  ``sum_shifted``
+adds many shifted polynomials into one coefficient list.  Long division
+(``divmod_poly``, ``exact_div``) is left to ``gcd_bezout``, which needs a
+true remainder, and to the tests as the reference for these kernels.
 
 The public ``IntPoly(...)`` constructor checks that every coefficient is an
 int.  Results of this module's own arithmetic (``+``, ``-``, ``*``,
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import add, sub
@@ -311,6 +312,13 @@ def mul_ratio(a, mul_ts, div_ts):
     for t in div_ts:
         a = div_one_minus_qt(a, t)
     return a
+
+
+@cache
+def ratio_poly(up, down):
+    """mul_ratio(ONE, up, down) for tuples up and down, built once per
+    process; NotDivisible when the ratio is not a polynomial."""
+    return mul_ratio(ONE, up, down)
 
 
 def cancel_factors(up, down):

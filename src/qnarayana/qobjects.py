@@ -25,7 +25,7 @@ from functools import cache
 from math import comb
 
 from .errors import InvalidParameter
-from .polyarith import ONE, ZERO, IntPoly, div_one_minus_qt, is_nonneg, mul_one_minus_qt
+from .polyarith import ONE, ZERO, IntPoly, div_one_minus_qt, is_nonneg, mul_one_minus_qt, mul_ratio
 
 
 @cache
@@ -41,10 +41,7 @@ def q_shifted_factorial(n):
     """(1-q)(1-q^2)...(1-q^n); the empty product 1 for n = 0."""
     if n < 0:
         raise InvalidParameter(f"q_shifted_factorial requires n >= 0, got {n}")
-    value = ONE
-    for t in range(1, n + 1):
-        value = mul_one_minus_qt(value, t)
-    return value
+    return mul_ratio(ONE, range(1, n + 1), ())
 
 
 def q_binomial(n, k):
@@ -81,8 +78,7 @@ def q_narayana(n, k):
         raise InvalidParameter(f"q_narayana requires n >= 1, got {n}")
     if k <= 0 or k > n:
         return ZERO
-    product = q_binomial(n, k) * q_binomial(n, k - 1)
-    value = div_one_minus_qt(mul_one_minus_qt(product, 1), n)
+    value = mul_ratio(q_binomial(n, k) * q_binomial(n, k - 1), (1,), (n,))
     if not is_nonneg(value):
         raise ArithmeticError(f"q_narayana({n}, {k}) has a negative coefficient")
     return value
@@ -94,7 +90,7 @@ def q_catalan(n):
     coefficients and constant term 1."""
     if n < 1:
         raise InvalidParameter(f"q_catalan requires n >= 1, got {n}")
-    value = div_one_minus_qt(mul_one_minus_qt(q_binomial(2 * n, n), 1), n + 1)
+    value = mul_ratio(q_binomial(2 * n, n), (1,), (n + 1,))
     if not is_nonneg(value):
         raise ArithmeticError(f"q_catalan({n}) has a negative coefficient")
     return value
@@ -104,7 +100,8 @@ def catalan_factors(n):
     """The t of the factors (1 - q^t) of q_catalan(n) as a ratio, the
     numerator's and the denominator's: qbinom(2n, n) / [n+1] is the product
     of (1 - q^t) over n+2 <= t <= 2n divided by the product over 2 <= t <= n,
-    once (1 - q^(n+1)) and (1 - q) cancel."""
+    once (1 - q^(n+1)) and (1 - q) cancel.  The modulus thm12 and conj32
+    divide by; q_catalan builds the same polynomial faster."""
     return tuple(range(n + 2, 2 * n + 1)), tuple(range(2, n + 1))
 
 

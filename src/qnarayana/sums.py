@@ -8,7 +8,7 @@ triangular number k(k-1)/2.  Three families are provided:
 * ``cyclic_sum``: signed sum of products of adjacent-index Gaussian binomial
   pairs over a cyclically closed index chain (last index wraps to the
   first), with an arbitrary integer exponent polynomial f(k), an ``IntPoly``
-  read as a polynomial in k; paired with ``cyclic_modulus``.
+  read as a polynomial in k; paired with ``cyclic_modulus_factors``.
 * ``gjz_sum``: signed sum of central Gaussian binomial products over an open
   chain (last index pairs with 0), carrying a q-shifted-factorial prefactor.
   The prefactor is a ratio of factors (1 - q^t); after the common ones
@@ -19,8 +19,8 @@ triangular number k(k-1)/2.  Three families are provided:
 The per-k binomial products of a chain do not depend on j or f, and a sweep
 evaluates all j (or f) of one chain in a row, so the chain families keep the
 last chain's products in a one-entry cache and a call only shifts and sums
-them.  thm12_sum keeps every q-Narayana power: power r is built from r - 1,
-and the k and -k terms share one power.
+them.  thm12_sum keeps every q-Narayana power, each built once by a loop
+from the power below it, and the k and -k terms share one power.
 
 Sign and exponent conventions for negative k: (-1)^k is the parity of |k|,
 and k(k-1)/2 is evaluated by formula, so it is a nonnegative integer for
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import InvalidParameter
-from .polyarith import ONE, IntPoly, cancel_factors, eval_int, mul_ratio, sum_shifted
-from .qobjects import q_binomial, q_integer, q_narayana
+from .polyarith import ONE, IntPoly, cancel_factors, eval_int, mul_ratio, ratio_poly, sum_shifted
+from .qobjects import q_binomial, q_narayana
 
 
 def binom2(k):
@@ -69,10 +69,16 @@ def validated_ns(ns):
 
 
 @cache
+def _narayana_powers(n, k):
+    """The powers of q_narayana(n, k) built so far, r-th at index r - 1."""
+    return [q_narayana(n, k)]
+
+
 def _narayana_power(n, k, r):
-    if r == 1:
-        return q_narayana(n, k)
-    return _narayana_power(n, k, r - 1) * q_narayana(n, k)
+    powers = _narayana_powers(n, k)
+    while len(powers) < r:
+        powers.append(powers[-1] * powers[0])
+    return powers[r - 1]
 
 
 def thm12_sum(n, r, j):
@@ -139,20 +145,15 @@ def cyclic_sum(ns, f):
 
 
 def cyclic_modulus(ns):
-    """qbinom(n1 + n_last + 1, n1) times the product over adjacent pairs of
-    the q-integers [ni + n_next + 1]; constant term 1 and monic."""
-    ns = validated_ns(ns)
-    modulus = q_binomial(ns[0] + ns[-1] + 1, ns[0])
-    for i in range(len(ns) - 1):
-        modulus = modulus * q_integer(ns[i] + ns[i + 1] + 1)
-    return modulus
+    """The polynomial of the modulus cyclic_modulus_factors(ns); monic."""
+    return ratio_poly(*cyclic_modulus_factors(ns))
 
 
 def cyclic_modulus_factors(ns):
-    """The t of the factors (1 - q^t) of cyclic_modulus(ns) as a ratio,
-    the numerator's and the denominator's, with the common ones cancelled:
-    qbinom(a, b) is the product over 1 <= t <= b of (1 - q^(a-b+t)) /
-    (1 - q^t), and [m] is (1 - q^m) / (1 - q)."""
+    """The cyclic modulus qbinom(n1 + n_last + 1, n1) * prod [ni + n_next + 1]
+    as the t of its numerator's and its denominator's factors (1 - q^t), the
+    common ones cancelled: qbinom(a, b) is the product over 1 <= t <= b of
+    (1 - q^(a-b+t)) / (1 - q^t), and [m] is (1 - q^m) / (1 - q)."""
     ns = validated_ns(ns)
     n1, nm = ns[0], ns[-1]
     up = [*range(nm + 2, n1 + nm + 2), *(a + b + 1 for a, b in zip(ns, ns[1:]))]

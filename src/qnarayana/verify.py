@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidParameter, NotDivisible, ProofError
-from .polyarith import ONE, Q, IntPoly, eval_int, gcd_bezout, is_nonneg, mul_ratio
-from .qobjects import catalan_factors, catalan_int, narayana_int, q_catalan, q_integer
+from .polyarith import ONE, Q, IntPoly, eval_int, gcd_bezout, is_nonneg, mul_ratio, ratio_poly
+from .qobjects import catalan_factors, catalan_int, narayana_int, q_integer
 from .sums import (
     cyclic_modulus,
     cyclic_modulus_factors,
@@ -153,26 +153,19 @@ class ProofTrace:
     quotient: IntPoly
 
 
-def check_divisibility(poly, modulus, factors):
-    """Exact quotient of a polynomial by a modulus with constant term 1, or
-    None when the modulus does not divide it.
+def check_divisibility(poly, factors):
+    """Exact quotient of poly by a modulus, or None when the modulus does
+    not divide it.
 
-    factors is the pair (up, down) of multisets of t for which the modulus
-    is the product of (1 - q^t) over up divided by the product over down;
-    InvalidParameter unless their degrees add up to the modulus's.  The
-    quotient is poly times each down factor, divided exactly by each up
-    factor in turn.  Every factor is monic up to sign, so this succeeds
-    exactly when the modulus divides poly, with the same quotient.  The
-    quotient is re-multiplied against the modulus and compared before it is
-    returned.
+    factors, the modulus's one definition, is the pair (up, down) of tuples
+    of t whose ratio prod (1 - q^t) over up / prod over down is the modulus;
+    NotDivisible unless that ratio is a polynomial.  The quotient is poly
+    times each down factor, divided exactly by each up factor: each is monic
+    up to sign, so this succeeds exactly when the modulus divides poly.  The
+    quotient is re-multiplied against the modulus before it is returned.
     """
-    if not modulus or modulus.constant != 1:
-        raise InvalidParameter(f"modulus must have constant term 1, got {modulus}")
     up, down = factors
-    if sum(up) - sum(down) != modulus.degree:
-        raise InvalidParameter(
-            f"factors of degree {sum(up) - sum(down)} for a modulus of degree {modulus.degree}"
-        )
+    modulus = ratio_poly(up, down)
     try:
         quotient = mul_ratio(poly, down, up)
     except NotDivisible:
@@ -203,7 +196,7 @@ def _verify_thm11(case):
             raise ArithmeticError(
                 f"integer and polynomial routes disagree on the sum at n={n}, r={r}"
             )
-        if eval_int(q_catalan(n), 1) != modulus:
+        if eval_int(ratio_poly(*catalan_factors(n)), 1) != modulus:
             raise ArithmeticError(f"integer and polynomial routes disagree at n={n}")
     return _int_verdict(case, total, modulus)
 
@@ -211,7 +204,7 @@ def _verify_thm11(case):
 def _verify_narayana_power(case):
     n = case.n
     summed = thm12_sum(n, case.r, case.j)
-    quotient = check_divisibility(summed, q_catalan(n), catalan_factors(n))
+    quotient = check_divisibility(summed, catalan_factors(n))
     return Verdict(case, summed.degree, 0, quotient)
 
 
@@ -244,8 +237,7 @@ def _verify_cyclic(case):
     """conj34 at its exponent polynomial f; conj33 is conj34 at f = j*k^2."""
     f = IntPoly((0, 0, case.j)) if case.f is None else case.f
     summed = cyclic_sum(case.ns, f)
-    modulus = cyclic_modulus(case.ns)
-    quotient = check_divisibility(summed.poly, modulus, cyclic_modulus_factors(case.ns))
+    quotient = check_divisibility(summed.poly, cyclic_modulus_factors(case.ns))
     return Verdict(case, summed.poly.degree, summed.shift, quotient)
 
 
@@ -352,8 +344,7 @@ def replay_proof(n, r, j):
     if u * power_a + v * power_b != ONE:
         raise ProofError(f"Bezout identity failed to re-expand at n={n}, r={r}")
     # The cyclic modulus of (n,)*r is qbinom(2n+1, n) * [2n+1]^(r-1).
-    modulus = cyclic_modulus(ns)
-    quotient = check_divisibility(summed.poly, modulus, cyclic_modulus_factors(ns))
+    quotient = check_divisibility(summed.poly, cyclic_modulus_factors(ns))
     if quotient is None:
         raise ProofError(f"sum is not divisible by the modulus at n={n}, r={r}, j={j}")
-    return ProofTrace(n, r, j, summed.poly, modulus, u, v, quotient)
+    return ProofTrace(n, r, j, summed.poly, cyclic_modulus(ns), u, v, quotient)

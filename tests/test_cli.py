@@ -24,6 +24,7 @@ from qnarayana.cli import (
 )
 from qnarayana.errors import InvalidParameter
 from qnarayana.polyarith import IntPoly
+from qnarayana.sums import thm12_sum
 from qnarayana.verify import DEFAULT_F_SUITE, CaseSpec, Verdict, verify_case
 
 CSV_HEADER = (
@@ -351,6 +352,10 @@ class TestCommandLine:
     def test_sum_thm12_command(self, capsys):
         assert main(["sum", "thm12", "--n", "2", "--r", "1", "--j", "0"]) == 0
         assert capsys.readouterr().out == "q^8 + q^6\n"
+
+    def test_sum_thm12_at_a_high_power(self, capsys):
+        assert main(["sum", "thm12", "--n", "1", "--r", "600", "--j", "0"]) == 0
+        assert capsys.readouterr().out == f"{thm12_sum(1, 600, 0)}\n"
 
     def test_sum_cyclic_shift_comment(self, capsys):
         assert main(["sum", "cyclic", "--ns", "2", "--f", "0,0,0,1"]) == 0

@@ -8,8 +8,9 @@ from math import comb
 import pytest
 
 from qnarayana.errors import InvalidParameter
-from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, eval_int, exact_div, is_nonneg, mul_ratio
-from qnarayana.qobjects import q_binomial, q_integer, q_narayana, q_shifted_factorial
+from qnarayana import sums
+from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, eval_int, exact_div, is_nonneg
+from qnarayana.qobjects import narayana_int, q_binomial, q_integer, q_narayana, q_shifted_factorial
 from qnarayana.sums import (
     NormalizedSum,
     binom2,
@@ -20,6 +21,7 @@ from qnarayana.sums import (
     thm12_sum,
 )
 from qnarayana.verify import STATEMENTS
+from test_qobjects import call_with_recursion_limit, stack_depth
 
 
 def comb0(n, k):
@@ -159,6 +161,13 @@ class TestThm12Sum:
                 for j in range(2 * r):
                     assert thm12_sum(n, r, j) == thm12_sum_reversed(n, r, j)
 
+    def test_cold_cache_needs_no_recursion(self):
+        sums._narayana_powers.cache_clear()
+        value = call_with_recursion_limit(stack_depth() + 50, thm12_sum, 1, 600, 0)
+        expected = sum((-1) ** abs(k) * narayana_int(3, k + 2) ** 600 for k in (-1, 0, 1))
+        assert eval_int(value, 1) == expected
+        assert value.degree == 1200
+
 
 class TestCyclicSum:
     def test_pinned_single_chain(self):
@@ -262,7 +271,10 @@ class TestCyclicModulus:
             for m in range(ranges["m_range"][0], ranges["m_range"][1] + 1):
                 chains.update(itertools.product(range(1, ranges["ni_max"] + 1), repeat=m))
         for ns in sorted(chains):
-            assert mul_ratio(ONE, *cyclic_modulus_factors(ns)) == cyclic_modulus(ns), ns
+            expected = q_binomial(ns[0] + ns[-1] + 1, ns[0])
+            for a, b in zip(ns, ns[1:]):
+                expected = expected * q_integer(a + b + 1)
+            assert cyclic_modulus(ns) == expected, ns
 
 
 class TestGjzSum:

@@ -1,5 +1,7 @@
 """Verdict construction, statement classification, and the proof replay."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +10,9 @@ import qnarayana
 from qnarayana import cli, polyarith, qobjects, sums, verify
 from qnarayana.cli import main
 from qnarayana.errors import InvalidParameter, NotDivisible, ProofError
-from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div
+from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div, ratio_poly
 from qnarayana.qobjects import q_binomial, q_integer
-from qnarayana.sums import cyclic_modulus, cyclic_sum
+from qnarayana.sums import cyclic_modulus, cyclic_modulus_factors, cyclic_sum
 from qnarayana.verify import (
     STATEMENTS,
     CaseSpec,
@@ -61,7 +63,8 @@ factor_ratios = st.tuples(
     st.lists(st.tuples(st.integers(min_value=1, max_value=8),
                        st.integers(min_value=1, max_value=4)), max_size=4),
     st.lists(st.integers(min_value=1, max_value=12), max_size=3),
-).map(lambda parts: ([c * t for t, c in parts[0]] + parts[1], [t for t, _ in parts[0]]))
+).map(lambda parts: (tuple([c * t for t, c in parts[0]] + parts[1]),
+                    tuple(t for t, _ in parts[0])))
 
 
 def modulus_by_long_division(up, down):
@@ -84,41 +87,48 @@ def long_division_outcome(poly, modulus):
 
 class TestCheckDivisibility:
     def test_pinned_divisible(self):
-        quotient = check_divisibility(
-            IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1)), IntPoly((1, 0, 1)), ((4,), (2,))
-        )
+        quotient = check_divisibility(IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1)), ((4,), (2,)))
         assert quotient == IntPoly((0, 0, 0, 0, 0, 0, 1))
 
     def test_pinned_trivial_modulus_with_negative_quotient(self):
-        quotient = check_divisibility(IntPoly((1, 1, 0, -1)), ONE, ((), ()))
+        quotient = check_divisibility(IntPoly((1, 1, 0, -1)), ((), ()))
         assert quotient == IntPoly((1, 1, 0, -1))
 
     def test_pinned_not_divisible(self):
-        assert check_divisibility(IntPoly((1, 1)), IntPoly((1, 1, 1)), ((3,), (1,))) is None
+        assert check_divisibility(IntPoly((1, 1)), ((3,), (1,))) is None
 
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(InvalidParameter):
-            check_divisibility(ONE, ZERO, ((), ()))
-        with pytest.raises(InvalidParameter):
-            check_divisibility(ONE, IntPoly((2,)), ((), ()))
-        with pytest.raises(InvalidParameter):
-            check_divisibility(ONE, Q, ((), ()))
+    def test_factors_that_are_no_polynomial_raise(self):
+        with pytest.raises(NotDivisible):
+            check_divisibility(ONE, ((1,), (2,)))
 
-    def test_rejects_factors_of_the_wrong_degree(self):
-        with pytest.raises(InvalidParameter, match="degree"):
-            check_divisibility(ONE, IntPoly((1, 0, 1)), ((5,), (1,)))
+    def test_factors_define_the_modulus(self):
+        # (1 - q^3) / (1 - q) is 1 + q + q^2, whatever modulus was meant.
+        assert ratio_poly((3,), (1,)) == IntPoly((1, 1, 1))
+        assert check_divisibility(IntPoly((1, 1, 1)), ((3,), (1,))) == ONE
+        assert check_divisibility(IntPoly((1, 0, 1)), ((3,), (1,))) is None
 
     @given(factor_ratios, wide_polys)
     def test_matches_long_division_on_multiples(self, factors, quotient):
         modulus = modulus_by_long_division(*factors)
         poly = modulus * quotient
-        assert check_divisibility(poly, modulus, factors) == quotient == exact_div(poly, modulus)
+        assert check_divisibility(poly, factors) == quotient == exact_div(poly, modulus)
 
     @given(factor_ratios, wide_polys, wide_polys.filter(bool))
     def test_matches_long_division_on_perturbed_input(self, factors, quotient, error):
         modulus = modulus_by_long_division(*factors)
         poly = modulus * quotient + error
-        assert check_divisibility(poly, modulus, factors) == long_division_outcome(poly, modulus)
+        assert check_divisibility(poly, factors) == long_division_outcome(poly, modulus)
+
+    def test_default_conj33_sweep_builds_each_modulus_once(self, capsys):
+        ranges = STATEMENTS["conj33"].ranges
+        chains = [ns for m in range(ranges["m_range"][0], ranges["m_range"][1] + 1)
+                  for ns in itertools.product(range(1, ranges["ni_max"] + 1), repeat=m)]
+        ratio_poly.cache_clear()
+        assert main(["verify", "conj33", "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert len(chains) == 84
+        moduli = {cyclic_modulus_factors(ns) for ns in chains}
+        assert ratio_poly.cache_info().misses == len(moduli) == 73
 
 
 class TestNoLongDivision:
@@ -299,7 +309,7 @@ class TestReplayProof:
             replay_proof(1, 2, 0)
 
     def test_failed_division_raises(self, monkeypatch):
-        monkeypatch.setattr(verify, "check_divisibility", lambda poly, modulus, factors: None)
+        monkeypatch.setattr(verify, "check_divisibility", lambda poly, factors: None)
         with pytest.raises(ProofError, match="not divisible by the modulus"):
             replay_proof(1, 2, 0)
 
