@@ -575,12 +575,13 @@ def main(argv=None):
     except NotDivisible as exc:
         print(f"qnarayana: not a polynomial: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError, OverflowError) as exc:
+        # Before ArithmeticError, of which OverflowError is a subclass.
+        print(f"qnarayana: error: input too large ({exc!r})", file=sys.stderr)
+        return 1
     except ArithmeticError as exc:
         print(f"qnarayana: internal error: {exc}", file=sys.stderr)
         return 1
     except (InvalidParameter, OSError) as exc:
         print(f"qnarayana: error: {exc}", file=sys.stderr)
-        return 1
-    except (RecursionError, MemoryError) as exc:
-        print(f"qnarayana: error: input too large ({exc!r})", file=sys.stderr)
         return 1

@@ -89,11 +89,6 @@ class IntPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    @property
-    def constant(self):
-        """Constant term; 0 for the zero polynomial."""
-        return self.coeffs[0] if self.coeffs else 0
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -344,26 +339,26 @@ def sum_shifted(terms):
     return _trusted(out)
 
 
-def gcd_bezout(a, b, u0, v0, e):
-    """Bezout cofactors of a**e and b**e, from integer cofactors of a and b.
+def gcd_bezout(a, b, e):
+    """Bezout cofactors of a**e and b**e, for a and b with b - q*a == 1.
 
-    Given u0*a + v0*b == 1, returns (u, v) with u*a**e + v*b**e == 1, the
-    canonical pair: deg u < deg b**e, and v is then fixed by the identity.
-    Raises InvalidParameter when the base identity does not hold.
+    Returns (u, v) with u*a**e + v*b**e == 1, the canonical pair: deg u <
+    deg b**e, and v is then fixed by the identity.  Raises InvalidParameter
+    when b - q*a is not 1.
 
-    Raising the base identity to the power N = max(2e-1, 0) gives 1 as a
+    Raising -q*a + b == 1 to the power N = max(2e-1, 0) gives 1 as a
     binomial sum.  The terms holding b**i with i >= e are multiples of b**e;
     every other term holds a**(N-i) with N-i >= e, so they sum to U*a**e.
     Reducing U modulo b**e gives u, and v = (1 - u*a**e) / b**e is then an
     exact division.  b must have leading coefficient 1 or -1, so that the
     reduction stays in integers.
     """
-    if u0 * a + v0 * b != ONE:
-        raise InvalidParameter("base cofactors do not satisfy u0*a + v0*b = 1")
+    if b - Q * a != ONE:
+        raise InvalidParameter("b - q*a is not 1")
     n = max(2 * e - 1, 0)
     big_u = ZERO
     for i in range(e):
-        term = u0 ** (n - i) * a ** (n - i - e) * (v0 * b) ** i
+        term = (-Q) ** (n - i) * a ** (n - i - e) * b ** i
         big_u = big_u + IntPoly((comb(n, i),)) * term
     power_a, power_b = a**e, b**e
     _, u = divmod_poly(big_u, power_b)

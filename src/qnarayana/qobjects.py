@@ -16,9 +16,11 @@ whose partial product after step t is exactly qbinom(n-k+t, t), an integer
 polynomial, so every division is exact and a NotDivisible would be a bug.
 This takes memory linear in the degree and no recursion.  The Pascal-type
 recurrence and the quotient of q-shifted factorials give the same values and
-are kept in the test suite as independent oracles.  The caches hold only
-immutable values, so every caller can share an entry; the worker processes
-of a parallel sweep each build their own caches.
+are kept in the test suite as independent oracles.  The Gaussian-binomial
+table is the one cache here, because sweep heads share its entries (see
+``sums`` for the rule).  It holds only immutable values, so every caller
+can share an entry; the worker processes of a parallel sweep each build
+their own.
 """
 
 from functools import cache
@@ -28,7 +30,6 @@ from .errors import InvalidParameter
 from .polyarith import ONE, ZERO, IntPoly, div_one_minus_qt, is_nonneg, mul_one_minus_qt, mul_ratio
 
 
-@cache
 def q_integer(n):
     """1 + q + ... + q^(n-1), the q-analogue of the positive integer n."""
     if n < 1:
@@ -36,7 +37,6 @@ def q_integer(n):
     return IntPoly((1,) * n)
 
 
-@cache
 def q_shifted_factorial(n):
     """(1-q)(1-q^2)...(1-q^n); the empty product 1 for n = 0."""
     if n < 0:
@@ -65,7 +65,6 @@ def _qbinom(n, k):
     return value
 
 
-@cache
 def q_narayana(n, k):
     """q-Narayana polynomial: qbinom(n, k) * qbinom(n, k-1) / [n].
 
@@ -84,7 +83,6 @@ def q_narayana(n, k):
     return value
 
 
-@cache
 def q_catalan(n):
     """q-Catalan polynomial: qbinom(2n, n) / [n+1], exact with nonnegative
     coefficients and constant term 1."""

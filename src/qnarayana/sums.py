@@ -16,11 +16,13 @@ triangular number k(k-1)/2.  Three families are provided:
   by each of the denominator's, so a failed division is a loud, meaningful
   event rather than a silent rational.
 
-The per-k binomial products of a chain do not depend on j or f, and a sweep
-evaluates all j (or f) of one chain in a row, so the chain families keep the
-last chain's products in a one-entry cache and a call only shifts and sums
-them.  thm12_sum keeps every q-Narayana power, each built once by a loop
-from the power below it, and the k and -k terms share one power.
+A value is cached only where a sweep reads it twice.  A sweep takes one head
+(one n, or one chain) at a time, with its r ascending and all its j or f in
+a row, so each family keeps its last head in a one-entry cache: the per-k
+binomial products of a chain, or the q-Narayana row at n with the powers
+thm12_sum last took (a higher r costs one multiply per step up, a lower r
+restarts from the base).  Only ``qobjects._qbinom`` and
+``polyarith.ratio_poly`` are read across heads, and kept for the process.
 
 Sign and exponent conventions for negative k: (-1)^k is the parity of |k|,
 and k(k-1)/2 is evaluated by formula, so it is a nonnegative integer for
@@ -34,7 +36,7 @@ and is therefore coprime to q.
 """
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .errors import InvalidParameter
 from .polyarith import ONE, IntPoly, cancel_factors, eval_int, mul_ratio, ratio_poly, sum_shifted
@@ -68,17 +70,12 @@ def validated_ns(ns):
     return indices
 
 
-@cache
-def _narayana_powers(n, k):
-    """The powers of q_narayana(n, k) built so far, r-th at index r - 1."""
-    return [q_narayana(n, k)]
-
-
-def _narayana_power(n, k, r):
-    powers = _narayana_powers(n, k)
-    while len(powers) < r:
-        powers.append(powers[-1] * powers[0])
-    return powers[r - 1]
+@lru_cache(maxsize=1)
+def _narayana_row(n):
+    """For 0 <= i <= n, [q_narayana(2n+1, n+i+1), e, its e-th power]: the
+    power the last thm12_sum at this n took, from e = 1 on."""
+    bases = (q_narayana(2 * n + 1, n + i + 1) for i in range(n + 1))
+    return [[base, 1, base] for base in bases]
 
 
 def thm12_sum(n, r, j):
@@ -93,11 +90,17 @@ def thm12_sum(n, r, j):
     if j < 0:
         raise InvalidParameter(f"j must be >= 0, got {j}")
     terms = []
-    for k in range(-n, n + 1):
+    for i, entry in enumerate(_narayana_row(n)):
+        base, e, power = entry
+        if e > r:
+            e, power = 1, base
+        for _ in range(e, r):
+            power = power * base
+        entry[1:] = r, power
         # q_narayana(m, i) == q_narayana(m, m + 1 - i), as qbinom(m, i) ==
         # qbinom(m, m - i); with m = 2n+1, the k and -k terms are equal.
-        power = _narayana_power(2 * n + 1, n + abs(k) + 1, r)
-        terms.append((j * k * k + binom2(k), -power if k % 2 else power))
+        for k in {i, -i}:
+            terms.append((j * k * k + binom2(k), -power if k % 2 else power))
     return sum_shifted(terms)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidParameter, NotDivisible, ProofError
-from .polyarith import ONE, Q, IntPoly, eval_int, gcd_bezout, is_nonneg, mul_ratio, ratio_poly
+from .polyarith import ONE, IntPoly, eval_int, gcd_bezout, is_nonneg, mul_ratio, ratio_poly
 from .qobjects import catalan_factors, catalan_int, narayana_int, q_integer
 from .sums import (
     cyclic_modulus,
@@ -334,10 +334,9 @@ def replay_proof(n, r, j):
     summed = cyclic_sum(ns, IntPoly((0, 0, j)))
     if summed.shift:
         raise ProofError(f"unexpected normalization shift {summed.shift}")
-    # [2n+2] - q*[2n+1] = 1 gives the base cofactors (-q, 1).
     base_a, base_b = q_integer(2 * n + 1), q_integer(2 * n + 2)
     try:
-        u, v = gcd_bezout(base_a, base_b, -Q, ONE, r - 1)
+        u, v = gcd_bezout(base_a, base_b, r - 1)
     except InvalidParameter as exc:
         raise ProofError(f"[2n+2] - q*[2n+1] is not 1 at n={n}") from exc
     power_a, power_b = base_a ** (r - 1), base_b ** (r - 1)

@@ -446,7 +446,7 @@ class TestCommandLine:
         assert captured.err == ""
         assert sum(int(c) for c in json.loads(captured.out)["coeffs"]) == 600
 
-    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError, OverflowError])
     def test_too_large_input_exits_one(self, monkeypatch, capsys, error):
         def exhausted(n, k):
             raise error("exhausted")
@@ -456,6 +456,18 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("qnarayana: error: input too large (")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["thm12", "--n", "1", "--r", "1", "--j", str(10**20)],
+        ["gjz", "--ns", "1", "--j", str(10**20)],
+        ["cyclic", "--ns", "3", "--f", ",".join(["0"] * 40 + ["1"])],
+    ])
+    def test_exponent_beyond_an_index_is_too_large(self, capsys, args):
+        # The exponent cannot size a coefficient list: an OverflowError.
+        assert main(["sum", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qnarayana: error: input too large (OverflowError(")
 
     def test_internal_error_exits_without_traceback(self, monkeypatch, capsys):
         def broken(n):

@@ -162,11 +162,25 @@ class TestThm12Sum:
                     assert thm12_sum(n, r, j) == thm12_sum_reversed(n, r, j)
 
     def test_cold_cache_needs_no_recursion(self):
-        sums._narayana_powers.cache_clear()
+        sums._narayana_row.cache_clear()
         value = call_with_recursion_limit(stack_depth() + 50, thm12_sum, 1, 600, 0)
         expected = sum((-1) ** abs(k) * narayana_int(3, k + 2) ** 600 for k in (-1, 0, 1))
         assert eval_int(value, 1) == expected
         assert value.degree == 1200
+
+    def test_row_keeps_one_n_and_one_power(self):
+        thm12_sum(1, 300, 0)
+        thm12_sum(2, 2, 1)
+        assert sums._narayana_row.cache_info().currsize == 1
+        for base, e, power in sums._narayana_row(2):
+            assert (e, power) == (2, base * base)
+
+    def test_lower_power_restarts_from_the_base(self):
+        for n in (1, 3):
+            sums._narayana_row.cache_clear()
+            for r in (3, 1, 2):
+                for j in range(2 * r):
+                    assert thm12_sum(n, r, j) == thm12_sum_reversed(n, r, j)
 
 
 class TestCyclicSum:
@@ -240,7 +254,7 @@ class TestCyclicModulus:
     def test_constant_term_and_monic(self):
         for ns in [(1,), (2, 3), (4, 1, 2)]:
             modulus = cyclic_modulus(ns)
-            assert modulus.constant == 1
+            assert modulus.coeffs[0] == 1
             assert modulus.coeffs[-1] == 1
 
     def test_uniform_chain_factors(self):

@@ -1,6 +1,9 @@
 """Verdict construction, statement classification, and the proof replay."""
 
+import importlib
 import itertools
+import pkgutil
+import sys
 
 import pytest
 from hypothesis import given
@@ -129,6 +132,28 @@ class TestCheckDivisibility:
         assert len(chains) == 84
         moduli = {cyclic_modulus_factors(ns) for ns in chains}
         assert ratio_poly.cache_info().misses == len(moduli) == 73
+
+
+def test_every_cache_is_read_twice(capsys):
+    """The package caches exactly these functions, and a small sweep reads
+    each of them again: a cache nothing re-reads is only memory."""
+    sweeps = {
+        "_qbinom": ["gjz", "--m", "1..2", "--ni-max", "3"],
+        "ratio_poly": ["conj33", "--m", "1..2", "--ni-max", "2"],
+        "_narayana_row": ["thm11", "--n", "1..2", "--r", "1..2"],
+        "_cyclic_products": ["conj33", "--m", "1..2", "--ni-max", "2"],
+        "_gjz_chain": ["gjz", "--m", "1..2", "--ni-max", "3"],
+    }
+    for info in pkgutil.iter_modules(qnarayana.__path__):
+        importlib.import_module(f"qnarayana.{info.name}")
+    cached = {fn for name, module in sys.modules.items() if name.partition(".")[0] == "qnarayana"
+              for fn in vars(module).values() if hasattr(fn, "cache_info")}
+    assert sorted(fn.__name__ for fn in cached) == sorted(sweeps)
+    for fn in cached:
+        fn.cache_clear()
+        main(["verify", *sweeps[fn.__name__], "--format", "csv"])
+        capsys.readouterr()
+        assert fn.cache_info().hits >= 1, fn.__name__
 
 
 class TestNoLongDivision:
