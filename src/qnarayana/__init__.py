@@ -51,7 +51,7 @@ from .verify import (
     Statement,
     Verdict,
     check_divisibility,
-    claim_holds,
+    outcome,
     replay_proof,
     verify_case,
 )
@@ -91,6 +91,6 @@ __all__ = [
     "ProofTrace",
     "check_divisibility",
     "verify_case",
-    "claim_holds",
+    "outcome",
     "replay_proof",
 ]

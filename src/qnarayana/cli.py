@@ -3,7 +3,8 @@
 Single-value commands (qbinom, qnarayana, qcatalan, sum ...) print one
 polynomial; verify runs a parameter sweep and emits a report; proof dumps a
 replayed proof trace.  Each output is one record that every format renders,
-and each emitter returns the command's exit code.
+and each emitter returns the command's exit code.  A sweep case becomes its
+(outcome, record) pair where it is evaluated, in the worker under --jobs.
 
 Report formats
     text   human-readable table with "#"-prefixed header and summary lines
@@ -45,9 +46,8 @@ from .verify import (
     PARAMS,
     STATEMENTS,
     CaseSpec,
-    Verdict,
-    claim_holds,
     get_statement,
+    outcome,
     replay_proof,
     verify_case,
 )
@@ -183,16 +183,10 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class CaseError:
-    """A case whose evaluation raised: captured so the sweep continues."""
-
-    case: CaseSpec
-    kind: str
-    message: str
-
-
-@dataclass(frozen=True)
 class Report:
+    """A finished sweep.  results holds one (outcome, record) pair per case,
+    in expansion order, as evaluate_case returned it."""
+
     version: str
     spec_echo: str
     timestamp: str
@@ -200,35 +194,21 @@ class Report:
     results: tuple
 
 
-def outcome(result):
-    """Classify one result: pass, finding, fail, error, or exploratory.
-
-    Out-of-range parameters are exploratory observations whatever they show;
-    in range, a failed claim is a finding for conjecture-class statements
-    and a fail for theorem-class ones.
-    """
-    if isinstance(result, CaseError):
-        return "error"
-    if not result.in_theorem_range:
-        return "exploratory"
-    if claim_holds(result):
-        return "pass"
-    kind = STATEMENTS[result.case.statement].kind
-    return "fail" if kind == "theorem" else "finding"
-
-
 def evaluate_case(case):
+    """The case's (outcome, record) pair; a case that raises becomes an
+    "error" record with the exception's kind and message, so the sweep goes on."""
     try:
-        return verify_case(case)
+        verdict = verify_case(case)
     except Exception as exc:
-        return CaseError(case=case, kind=type(exc).__name__, message=str(exc))
+        return "error", {**_case_record(case), "error": type(exc).__name__, "message": str(exc)}
+    return outcome(verdict), result_record(verdict)
 
 
 def summarize(results):
     """The summary record every format renders: the outcome counts, the
     largest sum degree, then exit (1 on any fail or error, else 2 on any
     finding, else 0)."""
-    counts = Counter(outcome(result) for result in results)
+    counts = Counter(kind for kind, _ in results)
     record = {
         "cases": len(results),
         "passed": counts["pass"],
@@ -236,7 +216,7 @@ def summarize(results):
         "failures": counts["fail"],
         "errors": counts["error"],
         "exploratory": counts["exploratory"],
-        "max_degree": max((r.sum_degree for r in results if isinstance(r, Verdict)), default=-1),
+        "max_degree": max((r["sum_degree"] for _, r in results if "sum_degree" in r), default=-1),
     }
     record["exit"] = 1 if counts["fail"] or counts["error"] else 2 if counts["finding"] else 0
     return record
@@ -246,8 +226,9 @@ def run_sweep(spec, jobs=1):
     """Expand, evaluate, and package a Report.  Cases are spread over
     min(jobs, cases, CPUs) worker processes when that is more than one.
 
-    Results are gathered back into expansion order, so the report content is
-    independent of the worker count.
+    Each case becomes its plain (outcome, record) pair where it is
+    evaluated, so no quotient polynomial outlives its case.  Results keep
+    expansion order, so the report is independent of the worker count.
     """
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
@@ -272,29 +253,22 @@ def run_sweep(spec, jobs=1):
     )
 
 
-def result_record(result):
-    """One result as an ordered record; every report format renders it.
+def _case_record(case):
+    """The statement, then the parameters the case sets, in the order n, r,
+    j, ns, f.  ns and f (its coefficients) are tuples: JSON arrays in jsonl,
+    comma-separated cells in csv and text."""
+    params = {name: value.coeffs if name == "f" else value for name, value in case.params()}
+    return {"statement": case.statement, **params}
 
-    The parameters the case sets come first, in the order n, r, j, ns, f.
-    A verdict goes on with shift and divisible, then quotient and
-    quotient_nonneg when divisible, then in_theorem_range and sum_degree; a
-    CaseError with error and message.  ns and f (its coefficients) are
-    tuples: JSON arrays in jsonl, comma-separated cells in csv and text.
-    """
-    record = {"statement": result.case.statement}
-    for name, value in result.case.params():
-        record[name] = value.coeffs if name == "f" else value
-    if isinstance(result, CaseError):
-        record["error"] = result.kind
-        record["message"] = result.message
-        return record
-    record["shift"] = result.shift
-    record["divisible"] = result.divisible
-    if result.divisible:
-        record["quotient"] = str(result.quotient)
-        record["quotient_nonneg"] = result.quotient_nonneg
-    record["in_theorem_range"] = result.in_theorem_range
-    record["sum_degree"] = result.sum_degree
+
+def result_record(verdict):
+    """A verdict as an ordered record of plain values: the case's statement
+    and parameters, shift and divisible, then quotient (as text) and
+    quotient_nonneg when divisible, then in_theorem_range and sum_degree."""
+    record = {**_case_record(verdict.case), "shift": verdict.shift, "divisible": verdict.divisible}
+    if verdict.divisible:
+        record.update(quotient=str(verdict.quotient), quotient_nonneg=verdict.quotient_nonneg)
+    record.update(in_theorem_range=verdict.in_theorem_range, sum_degree=verdict.sum_degree)
     return record
 
 
@@ -333,12 +307,11 @@ def emit_report(report, fmt, stream):
     All formats present the results in expansion order; only the line
     holding the timestamp and wall time varies between identical runs.
     """
-    records = [result_record(result) for result in report.results]
     summary = summarize(report.results)
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for record in records:
+        for _, record in report.results:
             if "error" not in record:
                 writer.writerow(_cells(record))
         return summary["exit"]
@@ -348,7 +321,7 @@ def emit_report(report, fmt, stream):
             _dumps({"meta": {"generated": report.timestamp, "wall_seconds": round(report.wall_seconds, 3)}})
             + "\n"
         )
-        for record in records:
+        for _, record in report.results:
             stream.write(_dumps(record) + "\n")
         stream.write(_dumps({"summary": summary}) + "\n")
         return summary["exit"]
@@ -358,9 +331,9 @@ def emit_report(report, fmt, stream):
     stream.write(f"# sweep: {report.spec_echo}\n")
     stream.write(f"# generated: {report.timestamp} wall={report.wall_seconds:.3f}s\n")
     rows = []
-    for result, record in zip(report.results, records):
+    for kind, record in report.results:
         cells = _cells(record)
-        cells[-1:] = [outcome(result), _clip(cells[-1])]
+        cells[-1:] = [kind, _clip(cells[-1])]
         rows.append([text or "-" for text in cells])
     widths = [len(column) for column in _TEXT_COLUMNS]
     for row in rows:
@@ -395,6 +368,21 @@ def _parse_f(text):
 
 def _parse_f_suite(text):
     return tuple(_parse_f(part) for part in text.split(";"))
+
+
+def _option(parse, metavar):
+    """argparse type and metavar for an option read by parse; a malformed
+    value is reported against the metavar the usage line shows."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {metavar} value: {text!r}") from None
+    return {"type": convert, "metavar": metavar}
+
+
+_RANGE = _option(_parse_range, "LO..HI")
+_INT_LIST = _option(_parse_int_list, "N1,N2,...")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -455,33 +443,32 @@ def build_parser():
     k.add_argument("--j", type=int, required=True)
 
     k = kinds.add_parser("cyclic", parents=[common], help="cyclic-chain binomial-pair sum")
-    k.add_argument("--ns", type=_parse_int_list, required=True, metavar="N1,N2,...")
+    k.add_argument("--ns", required=True, **_INT_LIST)
     k.add_argument(
         "--f",
-        type=_parse_f,
         default=IntPoly(()),
-        metavar="C0,C1,...",
         help="exponent polynomial in k, ascending coefficients (default 0)",
+        **_option(_parse_f, "C0,C1,..."),
     )
 
     k = kinds.add_parser("gjz", parents=[common], help="open-chain central binomial sum")
-    k.add_argument("--ns", type=_parse_int_list, required=True, metavar="N1,N2,...")
+    k.add_argument("--ns", required=True, **_INT_LIST)
     k.add_argument("--j", type=int, required=True)
 
     p = commands.add_parser("verify", parents=[common], help="sweep a statement and report verdicts")
     p.add_argument("statement", choices=STATEMENTS)
-    p.add_argument("--n", type=_parse_range, dest="n_range", metavar="LO..HI")
-    p.add_argument("--r", type=_parse_range, dest="r_range", metavar="LO..HI")
-    p.add_argument("--m", type=_parse_range, dest="m_range", metavar="LO..HI",
-                   help="chain length range for chain statements")
+    p.add_argument("--n", dest="n_range", **_RANGE)
+    p.add_argument("--r", dest="r_range", **_RANGE)
+    p.add_argument("--m", dest="m_range", help="chain length range for chain statements",
+                   **_RANGE)
     p.add_argument("--ni-max", type=int, dest="ni_max", metavar="B",
                    help="sweep every chain with indices in 1..B")
-    p.add_argument("--ns", type=_parse_int_list, metavar="N1,N2,...",
-                   help="verify one explicit chain instead of sweeping")
+    p.add_argument("--ns", help="verify one explicit chain instead of sweeping", **_INT_LIST)
     p.add_argument("--j-max", type=int, dest="j_max", metavar="J",
                    help="sweep j over 0..J instead of the claimed j range")
-    p.add_argument("--f-suite", type=_parse_f_suite, dest="f_suite", metavar="F1;F2;...",
-                   help="conj34 exponent polynomials, ';'-separated coefficient lists")
+    p.add_argument("--f-suite", dest="f_suite",
+                   help="conj34 exponent polynomials, ';'-separated coefficient lists",
+                   **_option(_parse_f_suite, "F1;F2;..."))
 
     p = commands.add_parser("proof", parents=[common], help="replay the proof mechanics for one case")
     p.add_argument("--n", type=int, required=True)

@@ -12,6 +12,8 @@ statement is classified two ways:
 * claim: what the statement asserts, one of exact divisibility, a nonnegative
   quotient, or nonnegativity of the built polynomial itself.
 
+outcome reads a verdict through both as pass, finding, fail or exploratory.
+
 The integer statements (thm11, conj31) are decided by plain integer
 arithmetic and additionally cross-checked against the q = 1 specialization
 of the polynomial pipeline; the redundancy is an oracle, not waste.  For
@@ -312,12 +314,19 @@ def verify_case(case):
     return STATEMENTS[case.statement].build(case)
 
 
-def claim_holds(verdict):
-    """Whether the statement's own claim holds for this verdict, regardless
-    of whether the parameters were inside the claimed range."""
-    if STATEMENTS[verdict.case.statement].claim == "divisible":
-        return verdict.divisible
-    return bool(verdict.divisible and verdict.quotient_nonneg)
+def outcome(verdict):
+    """Classify a verdict: pass, finding, fail or exploratory.
+
+    Out-of-range parameters are exploratory observations whatever they show;
+    in range, a failed claim is a finding for conjecture-class statements
+    and a fail for theorem-class ones.
+    """
+    if not verdict.in_theorem_range:
+        return "exploratory"
+    statement = STATEMENTS[verdict.case.statement]
+    if verdict.divisible and (statement.claim == "divisible" or verdict.quotient_nonneg):
+        return "pass"
+    return "fail" if statement.kind == "theorem" else "finding"
 
 
 def replay_proof(n, r, j):

@@ -108,7 +108,7 @@ def test_criterion_4_conj32_boundary_and_claimed_range():
         assert boundary.in_theorem_range is False
         report = run_sweep(SweepSpec("conj32", n_range=(1, 8), r_range=(1, 3)))
         assert_clean_sweep(report)
-        assert all(v.quotient_nonneg is True for v in report.results)
+        assert all(record["quotient_nonneg"] is True for _, record in report.results)
 
 
 def test_criterion_5_gjz_sweep_nonnegative():
@@ -117,7 +117,7 @@ def test_criterion_5_gjz_sweep_nonnegative():
         report = run_sweep(SweepSpec("gjz", m_range=(1, 4), ni_max=5))
         assert summarize(report.results)["cases"] == 5 + 25 * 2 + 125 * 3 + 625 * 4
         assert_clean_sweep(report)
-        assert all(v.quotient_nonneg is True for v in report.results)
+        assert all(record["quotient_nonneg"] is True for _, record in report.results)
         assert time.monotonic() - start < 300
 
 

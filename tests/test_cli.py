@@ -9,7 +9,6 @@ import pytest
 
 from qnarayana import cli
 from qnarayana.cli import (
-    CaseError,
     Report,
     SweepSpec,
     _parse_range,
@@ -17,7 +16,6 @@ from qnarayana.cli import (
     emit_report,
     evaluate_case,
     main,
-    outcome,
     result_record,
     run_sweep,
     summarize,
@@ -25,12 +23,21 @@ from qnarayana.cli import (
 from qnarayana.errors import InvalidParameter
 from qnarayana.polyarith import IntPoly
 from qnarayana.sums import thm12_sum
-from qnarayana.verify import DEFAULT_F_SUITE, CaseSpec, Verdict, verify_case
+from qnarayana.verify import DEFAULT_F_SUITE, CaseSpec, Verdict, outcome, verify_case
 
 CSV_HEADER = (
     "statement,n,r,j,ns,f,shift,divisible,quotient_nonneg,"
     "in_theorem_range,sum_degree,quotient"
 )
+
+
+def error_row():
+    """The (outcome, record) pair of a case that raises: thm12 without j."""
+    return evaluate_case(CaseSpec("thm12", n=1, r=1))
+
+
+def paired(verdict):
+    return outcome(verdict), result_record(verdict)
 
 
 def render(report, fmt):
@@ -131,7 +138,7 @@ class TestOutcomes:
         theorem_case = CaseSpec("thm12", n=1, r=1, j=1)
         failure = Verdict(theorem_case, 4, 0, None)
         assert outcome(failure) == "fail"
-        assert outcome(CaseError(theorem_case, "RuntimeError", "boom")) == "error"
+        assert error_row()[0] == "error"
 
     def test_verdict_flags_are_derived(self):
         negative = Verdict(CaseSpec("conj32", n=1, r=1, j=1), 4, 0, IntPoly((-1, 1)))
@@ -146,9 +153,9 @@ class TestOutcomes:
 
     def test_summary_record_is_the_jsonl_summary(self):
         results = (
-            verify_case(CaseSpec("thm12", n=1, r=1, j=0)),
-            verify_case(CaseSpec("conj32", n=1, r=1, j=2)),
-            CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom"),
+            evaluate_case(CaseSpec("thm12", n=1, r=1, j=0)),
+            evaluate_case(CaseSpec("conj32", n=1, r=1, j=2)),
+            error_row(),
         )
         summary = summarize(results)
         assert summary == {
@@ -160,10 +167,10 @@ class TestOutcomes:
         assert list(json.loads(line)["summary"]) == list(summary)
 
     def test_summary_exit_code(self):
-        passing = verify_case(CaseSpec("thm12", n=1, r=1, j=0))
-        finding = Verdict(CaseSpec("conj32", n=1, r=1, j=1), 4, 0, IntPoly((-1, 1)))
-        failure = Verdict(CaseSpec("thm12", n=1, r=1, j=1), 4, 0, None)
-        error = CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom")
+        passing = evaluate_case(CaseSpec("thm12", n=1, r=1, j=0))
+        finding = paired(Verdict(CaseSpec("conj32", n=1, r=1, j=1), 4, 0, IntPoly((-1, 1))))
+        failure = paired(Verdict(CaseSpec("thm12", n=1, r=1, j=1), 4, 0, None))
+        error = error_row()
         assert summarize(())["exit"] == 0
         assert summarize((passing,))["exit"] == 0
         assert summarize((passing, finding))["exit"] == 2
@@ -172,9 +179,13 @@ class TestOutcomes:
         assert summarize((failure, finding))["exit"] == 1
 
     def test_evaluate_case_captures_errors(self):
-        result = evaluate_case(CaseSpec("thm12", n=1, r=1))
-        assert isinstance(result, CaseError)
-        assert result.kind == "InvalidParameter"
+        assert evaluate_case(CaseSpec("thm12", n=1, r=1)) == (
+            "error",
+            {
+                "statement": "thm12", "n": 1, "r": 1,
+                "error": "InvalidParameter", "message": "thm12 requires j",
+            },
+        )
 
 
 class TestReports:
@@ -236,15 +247,21 @@ class TestReports:
         report = run_sweep(spec)
         lines = stable_lines(render(report, "jsonl"))[1:-1]
         assert len(lines) == len(report.results)
-        assert any(verdict.divisible for verdict in report.results)
-        for verdict, line in zip(report.results, lines):
+        verdicts = [verify_case(case) for case in spec.expand()]
+        assert any(verdict.divisible for verdict in verdicts)
+        for verdict, (_, record), line in zip(verdicts, report.results, lines):
             if verdict.divisible:
                 text = str(verdict.quotient)
-                assert json.loads(line)["quotient"] == result_record(verdict)["quotient"] == text
+                assert json.loads(line)["quotient"] == record["quotient"] == text
 
-    def test_error_records_in_jsonl(self):
-        bad = CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom")
-        good = verify_case(CaseSpec("thm12", n=1, r=1, j=0))
+    def test_error_records_in_jsonl(self, monkeypatch):
+        good = evaluate_case(CaseSpec("thm12", n=1, r=1, j=0))
+
+        def boom(case):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "verify_case", boom)
+        bad = evaluate_case(CaseSpec("thm12", n=1, r=1, j=0))
         report = Report(
             version="0.0-test",
             spec_echo="statement=thm12 n=1..1 r=1..1 j=theorem",
@@ -287,6 +304,44 @@ class TestDeterminism:
         )
         for fmt in ("text", "jsonl", "csv"):
             assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
+
+    def test_error_rows_built_in_workers(self):
+        # 3**40 exceeds sys.maxsize, so cyclic_sum raises OverflowError at
+        # f = k^40 before it allocates anything.
+        spec = SweepSpec("conj34", ns=(3,), f_suite=(IntPoly((0, 0, 1)), IntPoly((0,) * 40 + (1,))))
+        serial = run_sweep(spec)
+        parallel = run_sweep(spec, jobs=2)
+        for fmt in ("text", "jsonl", "csv"):
+            assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
+        assert summarize(parallel.results)["errors"] == 1
+        assert parallel.results[1][1]["error"] == "OverflowError"
+
+
+def is_plain(value):
+    if isinstance(value, tuple):
+        return all(type(item) is int for item in value)
+    return type(value) in (str, int, bool)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SweepSpec("thm12", n_range=(1, 2), r_range=(1, 2), j_max=4),
+        SweepSpec("gjz", m_range=(1, 2), ni_max=2),
+    ],
+    ids=["thm12", "gjz"],
+)
+def test_sweep_results_are_plain_outcome_record_pairs(spec):
+    """A report retains no Verdict and no IntPoly: each case is already its
+    outcome and a record of plain values."""
+    results = run_sweep(spec).results
+    assert len(results) == len(spec.expand())
+    for result in results:
+        assert type(result) is tuple and len(result) == 2
+        kind, record = result
+        assert kind in ("pass", "finding", "fail", "error", "exploratory")
+        assert type(record) is dict
+        assert all(is_plain(value) for value in record.values()), record
 
 
 class TestWorkers:
@@ -507,6 +562,10 @@ class TestCommandLine:
             (["verify", "thm12", "--j-mode", "extended", "--j-max", "3"],
              "unrecognized arguments: --j-mode extended"),
             (["verify", "conj31", "--ns", "0,1"], "chain indices must be integers >= 1, got 0"),
+            (["verify", "thm12", "--n", "1..x"], "argument --n: invalid LO..HI value: '1..x'"),
+            (["verify", "conj31", "--ns", "1,x"], "argument --ns: invalid N1,N2,... value: '1,x'"),
+            (["verify", "conj34", "--ns", "1", "--f-suite", "0,x"],
+             "argument --f-suite: invalid F1;F2;... value: '0,x'"),
         ],
     )
     def test_sweep_option_errors_exit_one(self, capsys, argv, message):
@@ -519,12 +578,16 @@ class TestCommandLine:
         assert captured.out == ""
         assert message in captured.err
         assert "Traceback" not in captured.err
+        assert "_parse" not in captured.err
 
     def test_malformed_exponent_polynomial_exits_one(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sum", "cyclic", "--ns", "2", "--f", "0,x,2"])
-        assert excinfo.value.code == 1
-        assert "argument --f: invalid" in capsys.readouterr().err
+        for f in ("0,x,2", "0,x"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sum", "cyclic", "--ns", "2", "--f", f])
+            assert excinfo.value.code == 1
+            err = capsys.readouterr().err
+            assert f"argument --f: invalid C0,C1,... value: '{f}'" in err
+            assert "_parse" not in err
 
     def test_verify_rejects_mixed_chain_flags(self, capsys):
         assert main(["verify", "conj31", "--ns", "1,2", "--ni-max", "3"]) == 1

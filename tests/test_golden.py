@@ -15,9 +15,8 @@ import io
 
 import pytest
 
-from qnarayana.cli import CaseError, Report, emit_report, main
-from qnarayana.polyarith import IntPoly
-from qnarayana.verify import CaseSpec, Verdict, verify_case
+from qnarayana.cli import Report, emit_report, evaluate_case, main, result_record
+from qnarayana.verify import CaseSpec, Verdict, outcome
 
 SWEEPS = {
     "thm11": (
@@ -119,11 +118,16 @@ def stable_digest(text):
 
 
 def hand_built_report():
-    passing = verify_case(CaseSpec("thm12", n=1, r=1, j=0))
-    not_divisible = Verdict(CaseSpec("thm12", n=2, r=1, j=1), 4, 0, None)
-    failed = CaseError(CaseSpec("thm12", n=1, r=1, j=0), "RuntimeError", "boom")
-    chain_error = CaseError(
-        CaseSpec("conj34", ns=(1, 2), f=IntPoly(())), "NotDivisible", "x" * 80
+    passing = evaluate_case(CaseSpec("thm12", n=1, r=1, j=0))
+    verdict = Verdict(CaseSpec("thm12", n=2, r=1, j=1), 4, 0, None)
+    not_divisible = (outcome(verdict), result_record(verdict))
+    failed = (
+        "error",
+        {"statement": "thm12", "n": 1, "r": 1, "j": 0, "error": "RuntimeError", "message": "boom"},
+    )
+    chain_error = (
+        "error",
+        {"statement": "conj34", "ns": (1, 2), "f": (), "error": "NotDivisible", "message": "x" * 80},
     )
     results = (passing, not_divisible, failed, chain_error)
     return Report(

@@ -22,7 +22,7 @@ from qnarayana.verify import (
     ProofTrace,
     Verdict,
     check_divisibility,
-    claim_holds,
+    outcome,
     replay_proof,
     verify_case,
 )
@@ -257,7 +257,7 @@ class TestVerifyCase:
         assert verdict.quotient == IntPoly((1, 1, 0, -1))
         assert not verdict.quotient_nonneg
         assert not verdict.in_theorem_range
-        assert not claim_holds(verdict)
+        assert outcome(verdict) == "exploratory"
 
     def test_conj33_pin(self):
         verdict = verify_case(CaseSpec("conj33", ns=(1,), j=0))
@@ -269,7 +269,7 @@ class TestVerifyCase:
         verdict = verify_case(CaseSpec("conj34", ns=(2,), f=IntPoly((0, 0, 0, 1))))
         assert verdict.shift == 5
         assert verdict.divisible
-        assert claim_holds(verdict)
+        assert outcome(verdict) == "pass"
 
     def test_gjz_pin(self):
         verdict = verify_case(CaseSpec("gjz", ns=(1, 1), j=0))
@@ -286,9 +286,9 @@ class TestVerifyCase:
         assert verdict.sum_degree == -1
 
     def test_claim_holds_per_statement(self):
-        assert claim_holds(verify_case(CaseSpec("thm12", n=1, r=1, j=0)))
-        assert claim_holds(verify_case(CaseSpec("conj34", ns=(2,), f=IntPoly((0, 1, 2)))))
-        assert claim_holds(verify_case(CaseSpec("gjz", ns=(2, 1), j=1)))
+        assert outcome(verify_case(CaseSpec("thm12", n=1, r=1, j=0))) == "pass"
+        assert outcome(verify_case(CaseSpec("conj34", ns=(2,), f=IntPoly((0, 1, 2))))) == "pass"
+        assert outcome(verify_case(CaseSpec("gjz", ns=(2, 1), j=1))) == "pass"
 
     def test_power_and_cyclic_routes_share_the_quotient(self):
         for n in (1, 2, 3):
