@@ -14,9 +14,10 @@ at a time with the one-pass kernels ``mul_one_minus_qt`` and
 
 whose partial product after step t is exactly qbinom(n-k+t, t), an integer
 polynomial, so every division is exact and a NotDivisible would be a bug.
-This takes memory linear in the degree and no recursion.  The Pascal-type
-recurrence and the quotient of q-shifted factorials give the same values and
-are kept in the test suite as independent oracles.  The Gaussian-binomial
+``narayana_powers`` steps a q-Narayana row by the ratio of neighbours, exact
+by the same argument.  Both take memory linear in the degree and no
+recursion; Pascal's recurrence, the q-shifted-factorial quotient and
+qbinom(n, k) * qbinom(n, k-1) / [n] are test oracles.  The Gaussian-binomial
 table is the one cache here, because sweep heads share its entries (see
 ``sums`` for the rule).  It holds only immutable values, so every caller
 can share an entry; the worker processes of a parallel sweep each build
@@ -24,6 +25,7 @@ their own.
 """
 
 from functools import cache
+from itertools import islice
 from math import comb
 
 from .errors import InvalidParameter
@@ -66,21 +68,34 @@ def _qbinom(n, k):
 
 
 def q_narayana(n, k):
-    """q-Narayana polynomial: qbinom(n, k) * qbinom(n, k-1) / [n].
-
-    Zero outside 1 <= k <= n.  Dividing by [n] = (1 - q^n) / (1 - q) is a
-    multiply by 1 - q and an exact divide by 1 - q^n.  The division is exact
-    and the result has nonnegative coefficients; both facts are asserted,
-    never assumed.
-    """
+    """q-Narayana polynomial: qbinom(n, k) * qbinom(n, k-1) / [n], zero
+    outside 1 <= k <= n and one at both ends.  In between it is read from the
+    nearer end of narayana_powers(n, 1), as the row is a palindrome."""
     if n < 1:
         raise InvalidParameter(f"q_narayana requires n >= 1, got {n}")
-    if k <= 0 or k > n:
-        return ZERO
-    value = mul_ratio(q_binomial(n, k) * q_binomial(n, k - 1), (1,), (n,))
-    if not is_nonneg(value):
-        raise ArithmeticError(f"q_narayana({n}, {k}) has a negative coefficient")
-    return value
+    if not 1 < k < n:
+        return ONE if k in (1, n) else ZERO
+    return next(islice(narayana_powers(n, 1), min(k, n + 1 - k) - 1, None))
+
+
+def narayana_powers(n, r):
+    """q_narayana(n, i)**r for i = 1, ..., n, from q_narayana(n, 1) = 1 by
+    r steps per i of the ratio of neighbours (1 - q^(n-i))(1 - q^(n-i+1)) /
+    ((1 - q^i)(1 - q^(i+1))), its common factors cancelled.  After s steps
+    the power is q_narayana(n, i)**(r-s) * q_narayana(n, i+1)**s, so each
+    division is exact; each power is asserted nonnegative, never assumed.
+    One factor is applied at a time, so only two powers are alive at once."""
+    power = q_narayana(n, 1)
+    for i in range(1, n + 1):
+        if not is_nonneg(power):
+            raise ArithmeticError(f"q_narayana({n}, {i}) has a negative coefficient")
+        yield power
+        up, down = {n - i, n - i + 1}, {i, i + 1}
+        for _ in range(r if i < n else 0):
+            for t in up - down:
+                power = mul_one_minus_qt(power, t)
+            for t in down - up:
+                power = div_one_minus_qt(power, t)
 
 
 def q_catalan(n):

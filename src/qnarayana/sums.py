@@ -17,12 +17,11 @@ triangular number k(k-1)/2.  Three families are provided:
   event rather than a silent rational.
 
 A value is cached only where a sweep reads it twice.  A sweep takes one head
-(one n, or one chain) at a time, with its r ascending and all its j or f in
-a row, so each family keeps its last head in a one-entry cache: the per-k
-binomial products of a chain, or the q-Narayana row at n with the powers
-thm12_sum last took (a higher r costs one multiply per step up, a lower r
-restarts from the base).  Only ``qobjects._qbinom`` and
-``polyarith.ratio_poly`` are read across heads, and kept for the process.
+(one n and r, or one chain) at a time, with all its j or f in a row, so
+each family keeps its last head in a one-entry cache: the per-k binomial
+products of a chain, or the r-th powers of the q-Narayana row at (n, r).
+Only ``qobjects._qbinom`` and ``polyarith.ratio_poly`` are read across
+heads, and kept for the process.
 
 Sign and exponent conventions for negative k: (-1)^k is the parity of |k|,
 and k(k-1)/2 is evaluated by formula, so it is a nonnegative integer for
@@ -37,10 +36,11 @@ and is therefore coprime to q.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .errors import InvalidParameter
 from .polyarith import ONE, IntPoly, cancel_factors, eval_int, mul_ratio, ratio_poly, sum_shifted
-from .qobjects import q_binomial, q_narayana
+from .qobjects import narayana_powers, q_binomial
 
 
 def binom2(k):
@@ -71,11 +71,11 @@ def validated_ns(ns):
 
 
 @lru_cache(maxsize=1)
-def _narayana_row(n):
-    """For 0 <= i <= n, [q_narayana(2n+1, n+i+1), e, its e-th power]: the
-    power the last thm12_sum at this n took, from e = 1 on."""
-    bases = (q_narayana(2 * n + 1, n + i + 1) for i in range(n + 1))
-    return [[base, 1, base] for base in bases]
+def _narayana_row(n, r):
+    """For 0 <= i <= n, (-1)^i q_narayana(2n+1, n+i+1)**r.  The row is a
+    palindrome, so these are its first n+1 powers in reverse order."""
+    powers = islice(narayana_powers(2 * n + 1, r), n + 1)
+    return tuple(-power if (n - i) % 2 else power for i, power in enumerate(powers))[::-1]
 
 
 def thm12_sum(n, r, j):
@@ -89,19 +89,8 @@ def thm12_sum(n, r, j):
         raise InvalidParameter(f"n and r must be >= 1, got n={n}, r={r}")
     if j < 0:
         raise InvalidParameter(f"j must be >= 0, got {j}")
-    terms = []
-    for i, entry in enumerate(_narayana_row(n)):
-        base, e, power = entry
-        if e > r:
-            e, power = 1, base
-        for _ in range(e, r):
-            power = power * base
-        entry[1:] = r, power
-        # q_narayana(m, i) == q_narayana(m, m + 1 - i), as qbinom(m, i) ==
-        # qbinom(m, m - i); with m = 2n+1, the k and -k terms are equal.
-        for k in {i, -i}:
-            terms.append((j * k * k + binom2(k), -power if k % 2 else power))
-    return sum_shifted(terms)
+    row = _narayana_row(n, r)
+    return sum_shifted((j * k * k + binom2(k), row[abs(k)]) for k in range(-n, n + 1))
 
 
 def _signed_products(n1, factors):

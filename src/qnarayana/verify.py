@@ -52,9 +52,9 @@ DEFAULT_F_SUITE = (
 # CaseSpec parameters in record order.
 PARAMS = ("n", "r", "j", "ns", "f")
 
-# thm11 cross-checks the polynomial route only up to this n: its thm12_sum is
-# almost all Kronecker products, and uncapped `verify thm11 --r 1..4` goes from
-# 0.39 to 2.6 s at --n 1..20 and 0.34 to 37 s at --n 1..30 (2-vCPU Xeon).
+# thm11 cross-checks the polynomial route only up to this n: its thm12_sum
+# builds a row of r-th powers, and uncapped `verify thm11 --r 1..4` goes from
+# 0.42 to 1.1 s at --n 1..20 and 0.38 to 4.0 s at --n 1..30 (2-vCPU Xeon).
 _POLY_CROSS_CHECK_LIMIT = 14
 
 

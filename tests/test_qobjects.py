@@ -1,6 +1,7 @@
 """Pinned values and structural invariants of the q-analogue constructors,
 with the Pascal recurrence and the factorial-quotient route as independent
-oracles for the product-formula Gaussian binomials."""
+oracles for the product-formula Gaussian binomials, and the product of two
+Gaussian binomials over [n] as the oracle for the q-Narayana row."""
 
 import sys
 
@@ -13,6 +14,7 @@ from qnarayana.qobjects import (
     catalan_factors,
     catalan_int,
     narayana_int,
+    narayana_powers,
     q_binomial,
     q_catalan,
     q_integer,
@@ -36,6 +38,14 @@ def call_with_recursion_limit(limit, fn, *args):
         return fn(*args)
     finally:
         sys.setrecursionlimit(saved)
+
+
+def narayana_by_product(n, k):
+    """Independent route: qbinom(n, k) * qbinom(n, k-1) / [n], the division
+    by [n] = (1 - q^n) / (1 - q) done as a ratio of factors."""
+    if k < 1 or k > n:
+        return ZERO
+    return mul_ratio(q_binomial(n, k) * q_binomial(n, k - 1), (1,), (n,))
 
 
 def qbinom_by_factorials(n, k):
@@ -165,6 +175,8 @@ class TestQNarayana:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(InvalidParameter):
             q_narayana(0, 1)
+        with pytest.raises(InvalidParameter):
+            next(narayana_powers(0, 2))
 
     def test_nonnegative_coefficients(self):
         for n in range(1, 11):
@@ -177,10 +189,22 @@ class TestQNarayana:
                 assert eval_int(q_narayana(n, k), 1) == narayana_int(n, k)
 
     def test_reflection(self):
-        # thm12_sum builds one power for its k and -k terms on this identity.
-        for n in range(1, 26):
-            for k in range(n + 2):
-                assert q_narayana(n, k) == q_narayana(n, n + 1 - k), (n, k)
+        # q_narayana reads the nearer end of the row, and thm12_sum one power
+        # for its k and -k terms, on this identity.
+        for n in range(1, 31):
+            row = list(narayana_powers(n, 1))
+            assert row == row[::-1], n
+
+    def test_matches_product_route(self):
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                assert q_narayana(n, k) == narayana_by_product(n, k), (n, k)
+
+    def test_powers_match_product_route(self):
+        for n in range(1, 13):
+            for r in range(4):
+                expected = [narayana_by_product(n, k) ** r for k in range(1, n + 1)]
+                assert list(narayana_powers(n, r)) == expected, (n, r)
 
 
 class TestQCatalan:

@@ -21,7 +21,7 @@ from qnarayana.sums import (
     thm12_sum,
 )
 from qnarayana.verify import STATEMENTS
-from test_qobjects import call_with_recursion_limit, stack_depth
+from test_qobjects import call_with_recursion_limit, narayana_by_product, stack_depth
 
 
 def comb0(n, k):
@@ -57,12 +57,13 @@ def cyclic_sum_at_one(ns):
 
 def thm12_sum_reversed(n, r, j):
     """Second transcription, summing k downward with its own exponent and
-    sign encoding; must agree exactly with thm12_sum."""
+    sign encoding, over the product route to each q-Narayana polynomial;
+    must agree exactly with thm12_sum."""
     total = ZERO
     for k in range(n, -n - 1, -1):
         power = ONE
         for _ in range(r):
-            power = power * q_narayana(2 * n + 1, n + k + 1)
+            power = power * narayana_by_product(2 * n + 1, n + k + 1)
         term = power.shift(j * k * k + (k * k - k) // 2)
         total = total + term if k % 2 == 0 else total - term
     return total
@@ -169,11 +170,14 @@ class TestThm12Sum:
         assert value.degree == 1200
 
     def test_row_keeps_one_n_and_one_power(self):
+        sums._narayana_row.cache_clear()
         thm12_sum(1, 300, 0)
         thm12_sum(2, 2, 1)
-        assert sums._narayana_row.cache_info().currsize == 1
-        for base, e, power in sums._narayana_row(2):
-            assert (e, power) == (2, base * base)
+        row = sums._narayana_row(2, 2)
+        info = sums._narayana_row.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+        powers = [narayana_by_product(5, 3 + i) ** 2 for i in range(3)]
+        assert row == (powers[0], -powers[1], powers[2])
 
     def test_lower_power_restarts_from_the_base(self):
         for n in (1, 3):
@@ -181,6 +185,23 @@ class TestThm12Sum:
             for r in (3, 1, 2):
                 for j in range(2 * r):
                     assert thm12_sum(n, r, j) == thm12_sum_reversed(n, r, j)
+
+
+class TestNoGeneralMultiply:
+    """q_narayana and thm12_sum step along the q-Narayana row one ratio of
+    (1 - q^t) factors at a time: neither calls IntPoly.__mul__."""
+
+    CASES = [(n, r, j) for n in range(1, 5) for r in range(1, 4) for j in range(2 * r)]
+
+    def test_outputs_unchanged_with_multiply_forbidden(self, monkeypatch):
+        expected = q_narayana(61, 30), [thm12_sum(*case) for case in self.CASES]
+
+        def forbidden(self, other):
+            raise AssertionError("IntPoly.__mul__ called")
+
+        monkeypatch.setattr(IntPoly, "__mul__", forbidden)
+        sums._narayana_row.cache_clear()
+        assert (q_narayana(61, 30), [thm12_sum(*case) for case in self.CASES]) == expected
 
 
 class TestCyclicSum:

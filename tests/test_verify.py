@@ -140,7 +140,7 @@ def test_every_cache_is_read_twice(capsys):
     sweeps = {
         "_qbinom": ["gjz", "--m", "1..2", "--ni-max", "3"],
         "ratio_poly": ["conj33", "--m", "1..2", "--ni-max", "2"],
-        "_narayana_row": ["thm11", "--n", "1..2", "--r", "1..2"],
+        "_narayana_row": ["thm12", "--n", "1..2", "--r", "1..2"],
         "_cyclic_products": ["conj33", "--m", "1..2", "--ni-max", "2"],
         "_gjz_chain": ["gjz", "--m", "1..2", "--ni-max", "3"],
     }
