@@ -1,8 +1,9 @@
 """Alternating q-binomial sums and the moduli they are tested against.
 
-Every sum here runs over a symmetric window -n1 <= k <= n1 with sign (-1)^k
-and a q-power exponent built from an integer polynomial in k plus the
-triangular number k(k-1)/2.  Three families are provided:
+Every sum here runs over a symmetric window -n1 <= k <= n1 with sign (-1)^k,
+the parity of |k|, and a q-power exponent built from an integer polynomial
+in k plus k(k-1)/2, which ``binom2`` evaluates by formula: a nonnegative
+integer for every integer k (k = -1 gives 1).  Three families are provided:
 
 * ``thm12_sum``: signed sum of r-th powers of q-Narayana polynomials.
 * ``cyclic_sum``: signed sum of products of adjacent-index Gaussian binomial
@@ -10,11 +11,12 @@ triangular number k(k-1)/2.  Three families are provided:
   first), with an arbitrary integer exponent polynomial f(k), an ``IntPoly``
   read as a polynomial in k; paired with ``cyclic_modulus_factors``.
 * ``gjz_sum``: signed sum of central Gaussian binomial products over an open
-  chain (last index pairs with 0), carrying a q-shifted-factorial prefactor.
-  The prefactor is a ratio of factors (1 - q^t); after the common ones
-  cancel, the sum is multiplied by the numerator's and then divided exactly
-  by each of the denominator's, so a failed division is a loud, meaningful
-  event rather than a silent rational.
+  chain (last index pairs with 0), times a q-shifted-factorial prefactor.
+
+No sum multiplies two polynomials: every term is built one factor (1 - q^t)
+at a time.  ``_binomial_factors`` is the one definition of a product of
+Gaussian binomials as such factors.  A chain family gives only its pairs
+(a, b) for each k, and ``_chain_terms`` derives its terms from them.
 
 A value is cached only where a sweep reads it twice.  A sweep takes one head
 (one n and r, or one chain) at a time, with all its j or f in a row, so
@@ -23,15 +25,10 @@ products of a chain, or the r-th powers of the q-Narayana row at (n, r).
 Only ``qobjects._qbinom`` and ``polyarith.ratio_poly`` are read across
 heads, and kept for the process.
 
-Sign and exponent conventions for negative k: (-1)^k is the parity of |k|,
-and k(k-1)/2 is evaluated by formula, so it is a nonnegative integer for
-every integer k (for example k = -1 gives 1, k = -2 gives 3).
-
-When f takes values making some exponent f(k) + k(k-1)/2 negative, the whole
-sum is multiplied by the smallest power of q clearing every exponent in the
-window, and that power is recorded as ``NormalizedSum.shift``.  Divisibility
-verdicts are unaffected because every modulus in scope has constant term 1
-and is therefore coprime to q.
+When f makes some exponent f(k) + k(k-1)/2 in the window negative, the
+whole sum is multiplied by the smallest power of q clearing them all,
+recorded as ``NormalizedSum.shift``.  Divisibility verdicts are unaffected:
+every modulus in scope has constant term 1, so it is coprime to q.
 """
 
 from dataclasses import dataclass
@@ -39,7 +36,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import InvalidParameter
-from .polyarith import ONE, IntPoly, cancel_factors, eval_int, mul_ratio, ratio_poly, sum_shifted
+from .polyarith import IntPoly, cancel_factors, eval_int, mul_ratio, ratio_poly, sum_shifted
 from .qobjects import narayana_powers, q_binomial
 
 
@@ -93,18 +90,30 @@ def thm12_sum(n, r, j):
     return sum_shifted((j * k * k + binom2(k), row[abs(k)]) for k in range(-n, n + 1))
 
 
-def _signed_products(n1, factors):
-    """(k, (-1)^k * the product of the polynomials factors(k)) for each k in
-    -n1..n1 whose product is nonzero; factors(k) is consumed lazily and the
-    product stops at its first zero factor."""
+def _binomial_factors(pairs):
+    """The product of qbinom(a, b) over a list of pairs (a, b), 0 <= b <= a,
+    as the t of its numerator's and its denominator's factors (1 - q^t), the
+    common ones cancelled: qbinom(a, b) is the product over 1 <= t <= b of
+    (1 - q^(a-b+t)) / (1 - q^t)."""
+    return cancel_factors([t for a, b in pairs for t in range(a - b + 1, a + 1)],
+                          [t for _, b in pairs for t in range(1, b + 1)])
+
+
+def _chain_terms(n1, pairs):
+    """(k, (-1)^k * the product of qbinom(a, b) over pairs(k)) for each k in
+    -n1..n1 where every 0 <= b <= a, an interval as each b rises by one with
+    k.  The term before the first is taken as its first pair's q_binomial,
+    and each term is the one before times the ratio of their factors, exact
+    as the quotient is again a product of q-binomials."""
     terms = []
     for k in range(-n1, n1 + 1):
-        prod = ONE
-        for factor in factors(k):
-            if not factor:
-                break
-            prod = prod * factor
-        else:
+        factors = pairs(k)
+        if all(0 <= b <= a for a, b in factors):
+            up, down = _binomial_factors(factors)
+            if not terms:
+                prod, last = q_binomial(*factors[0]), _binomial_factors(factors[:1])
+            prod = mul_ratio(prod, *cancel_factors(up + last[1], down + last[0]))
+            last = up, down
             terms.append((k, -prod if k % 2 else prod))
     return tuple(terms)
 
@@ -112,10 +121,8 @@ def _signed_products(n1, factors):
 @lru_cache(maxsize=1)
 def _cyclic_products(ns):
     """The signed per-k products of cyclic_sum for one chain."""
-    chain = ns + (ns[0],)
-    return _signed_products(ns[0], lambda k: (
-        q_binomial(ni + chain[i + 1] + 1, ni + k + d) for i, ni in enumerate(ns) for d in (0, 1)
-    ))
+    links = list(zip(ns, ns[1:] + ns[:1]))
+    return _chain_terms(ns[0], lambda k: [(a + b + 1, a + k + d) for a, b in links for d in (0, 1)])
 
 
 def cyclic_sum(ns, f):
@@ -144,26 +151,22 @@ def cyclic_modulus(ns):
 def cyclic_modulus_factors(ns):
     """The cyclic modulus qbinom(n1 + n_last + 1, n1) * prod [ni + n_next + 1]
     as the t of its numerator's and its denominator's factors (1 - q^t), the
-    common ones cancelled: qbinom(a, b) is the product over 1 <= t <= b of
-    (1 - q^(a-b+t)) / (1 - q^t), and [m] is (1 - q^m) / (1 - q)."""
+    common ones cancelled; [m] is qbinom(m, 1)."""
     ns = validated_ns(ns)
-    n1, nm = ns[0], ns[-1]
-    up = [*range(nm + 2, n1 + nm + 2), *(a + b + 1 for a, b in zip(ns, ns[1:]))]
-    return cancel_factors(up, [*range(1, n1 + 1), *(1,) * (len(ns) - 1)])
+    pairs = [(ns[0] + ns[-1] + 1, ns[0]), *((a + b + 1, 1) for a, b in zip(ns, ns[1:]))]
+    return _binomial_factors(pairs)
 
 
 @lru_cache(maxsize=1)
 def _gjz_chain(ns):
     """The j-independent parts of gjz_sum for one chain: its signed per-k
-    products, and the t of the prefactor's factors (1 - q^t) left in its
-    numerator and in its denominator once the common ones cancel."""
-    terms = _signed_products(ns[0], lambda k: (q_binomial(2 * ni, ni + k) for ni in ns))
-    # (q;q)_a is the product of (1 - q^t) over 1 <= t <= a.
-    chain = ns + (0,)
-    numerator = [*range(1, ns[0] + 1)]
-    for i in range(len(ns)):
-        numerator += range(1, chain[i] + chain[i + 1] + 1)
-    return (terms, *cancel_factors(numerator, (t for ni in ns for t in range(1, 2 * ni + 1))))
+    products, and the t of the prefactor's factors (1 - q^t), the common ones
+    cancelled.  Each (q;q)_ni occurs twice above and twice below, so the
+    prefactor is prod qbinom(ni + n_next, ni) / prod qbinom(2*ni, ni)."""
+    terms = _chain_terms(ns[0], lambda k: [(2 * ni, ni + k) for ni in ns])
+    up, down = _binomial_factors([(a + b, a) for a, b in zip(ns, ns[1:])])
+    central_up, central_down = _binomial_factors([(2 * ni, ni) for ni in ns])
+    return (terms, *cancel_factors(up + central_down, down + central_up))
 
 
 def gjz_sum(ns, j):
@@ -172,12 +175,9 @@ def gjz_sum(ns, j):
     by the prefactor (q;q)_{n1} prod (q;q)_{ni + n_next} / prod (q;q)_{2*ni}
     (the chain index after the last is 0 here, not a wraparound).
 
-    The prefactor is applied factor by factor in integer polynomials: the
-    sum is multiplied by each remaining numerator factor (1 - q^t), then
-    divided exactly by each remaining denominator factor.  Each factor is
-    monic up to sign, so this succeeds exactly when one division by the
-    whole denominator would.  NotDivisible propagates to the caller as a
-    reportable event (it is guaranteed impossible for 0 <= j <= m-1).
+    The prefactor is applied by mul_ratio, one factor (1 - q^t) at a time,
+    and its NotDivisible propagates to the caller as a reportable event (it
+    is guaranteed impossible for 0 <= j <= m-1).
     """
     ns = validated_ns(ns)
     if j < 0:

@@ -122,6 +122,31 @@ def gjz_sum_long_division(ns, j):
     return exact_div(numerator * total, denominator)
 
 
+def signed_products_by_multiply(n1, pairs):
+    """The per-k route the chain sums once took: for each k in -n1..n1 the
+    cached q-binomials of pairs(k) multiplied together, zero products
+    skipped, with sign (-1)^k."""
+    terms = []
+    for k in range(-n1, n1 + 1):
+        prod = ONE
+        for a, b in pairs(k):
+            prod = prod * q_binomial(a, b)
+        if prod:
+            terms.append((k, -prod if k % 2 else prod))
+    return tuple(terms)
+
+
+def cyclic_products_by_multiply(ns):
+    chain = ns + (ns[0],)
+    return signed_products_by_multiply(ns[0], lambda k: [
+        (ni + chain[i + 1] + 1, ni + k + d) for i, ni in enumerate(ns) for d in (0, 1)
+    ])
+
+
+def gjz_products_by_multiply(ns):
+    return signed_products_by_multiply(ns[0], lambda k: [(2 * ni, ni + k) for ni in ns])
+
+
 class TestBinom2:
     def test_nonnegative_for_negative_k(self):
         assert binom2(-1) == 1
@@ -188,20 +213,44 @@ class TestThm12Sum:
 
 
 class TestNoGeneralMultiply:
-    """q_narayana and thm12_sum step along the q-Narayana row one ratio of
-    (1 - q^t) factors at a time: neither calls IntPoly.__mul__."""
+    """q_narayana and thm12_sum step along the q-Narayana row, and the chain
+    sums along k, one ratio of (1 - q^t) factors at a time: no sum builder
+    calls IntPoly.__mul__."""
 
     CASES = [(n, r, j) for n in range(1, 5) for r in range(1, 4) for j in range(2 * r)]
+    CHAINS = [ns for m in (1, 2) for ns in itertools.product(range(1, 4), repeat=m)]
+    CUBE = IntPoly((0, 0, 0, 1))
+
+    def chain_outputs(self):
+        return [(cyclic_sum(ns, ZERO), cyclic_sum(ns, self.CUBE),
+                 [gjz_sum(ns, j) for j in range(len(ns))], cyclic_modulus_factors(ns))
+                for ns in self.CHAINS]
 
     def test_outputs_unchanged_with_multiply_forbidden(self, monkeypatch):
-        expected = q_narayana(61, 30), [thm12_sum(*case) for case in self.CASES]
+        expected = q_narayana(61, 30), [thm12_sum(*case) for case in self.CASES], self.chain_outputs()
 
         def forbidden(self, other):
             raise AssertionError("IntPoly.__mul__ called")
 
         monkeypatch.setattr(IntPoly, "__mul__", forbidden)
-        sums._narayana_row.cache_clear()
-        assert (q_narayana(61, 30), [thm12_sum(*case) for case in self.CASES]) == expected
+        for cached in (sums._narayana_row, sums._cyclic_products, sums._gjz_chain):
+            cached.cache_clear()
+        actual = q_narayana(61, 30), [thm12_sum(*case) for case in self.CASES], self.chain_outputs()
+        assert actual == expected
+
+
+class TestChainTerms:
+    """The chain sums' per-k products, stepped along k by (1 - q^t) ratios,
+    equal the q-binomials multiplied together, window included: uneven
+    chains such as (5, 1, 3) have fewer nonzero terms than -n1..n1."""
+
+    CHAINS = [*(ns for m in (1, 2, 3) for ns in itertools.product(range(1, 6), repeat=m)),
+              *itertools.product(range(1, 4), repeat=4)]
+
+    def test_match_the_multiplied_binomials(self):
+        for ns in self.CHAINS:
+            assert sums._cyclic_products(ns) == cyclic_products_by_multiply(ns), ns
+            assert sums._gjz_chain(ns)[0] == gjz_products_by_multiply(ns), ns
 
 
 class TestCyclicSum:
@@ -228,6 +277,10 @@ class TestCyclicSum:
         result = cyclic_sum((3,), f)
         assert result.shift == 21
         assert result == cyclic_sum_reversed((3,), f)
+        # The shift spans -n1..n1 although only |k| <= 1 has a nonzero term.
+        result = cyclic_sum((3, 1), f)
+        assert result.shift == 21
+        assert result == cyclic_sum_reversed((3, 1), f)
 
     def test_shift_zero_when_exponents_stay_nonnegative(self):
         assert cyclic_sum((2,), IntPoly((0, 0, 4))).shift == 0
@@ -240,6 +293,7 @@ class TestCyclicSum:
             ((3, 1), IntPoly((0, 0, 2))),
             ((2, 2), IntPoly((0, 0, 0, 1))),
             ((2, 1, 2), IntPoly((0, -1, 0, 0, 1))),
+            ((4, 1, 2), IntPoly((0, 0, 0, 1))),
         ]
         for ns, f in cases:
             assert cyclic_sum(ns, f) == cyclic_sum_reversed(ns, f)
