@@ -26,11 +26,12 @@ Every q-analogue built on this module is a ratio of factors (1 - q^t), so
 two one-pass kernels handle such a factor without a general product or long
 division: ``mul_one_minus_qt`` subtracts a shifted copy, and
 ``div_one_minus_qt`` runs the recurrence c[i] += c[i-t] and checks that the
-top t coefficients vanish.  ``mul_ratio`` applies a whole ratio of such
-factors, every multiply first and then one exact division per factor;
-``ratio_poly`` caches the polynomial of a ratio, and ``cancel_factors``
-removes the factors its numerator and denominator share.  ``sum_shifted``
-adds many shifted polynomials into one coefficient list.  Long division
+top t coefficients vanish.  A ratio prod (1 - q^t)^e is one hashable value,
+its (t, e) pairs sorted by t with distinct t and e != 0, unique as distinct
+(1 - q^t) are multiplicatively independent.  ``factor_ratio`` builds it and
+is the one place factors cancel; ``mul_ratio`` applies it, every multiply
+first, and ``ratio_poly`` caches its polynomial.  ``sum_shifted`` adds many
+shifted polynomials into one coefficient list.  Long division
 (``divmod_poly``, ``exact_div``) is left to ``gcd_bezout``, which needs a
 true remainder, and to the tests as the reference for these kernels.
 
@@ -43,7 +44,6 @@ ints produced by that arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -293,35 +293,36 @@ def div_one_minus_qt(a, t):
     return _trusted(c[:top])
 
 
-def mul_ratio(a, mul_ts, div_ts):
-    """a times the product of (1 - q**t) over mul_ts, divided exactly by
-    the product of (1 - q**t) over div_ts.
+def factor_ratio(pairs):
+    """The ratio prod (1 - q**t)**e over (t, e) pairs as its one value, the
+    pairs sorted by t with e summed per t and zero sums dropped: so it does
+    not depend on the pairs' order, and factors above and below cancel."""
+    exponents = {}
+    for t, e in pairs:
+        exponents[t] = exponents.get(t, 0) + e
+    return tuple(sorted((t, e) for t, e in exponents.items() if e))
 
-    Every multiply comes first, then one exact division per factor.  Each
+
+def mul_ratio(a, ratio):
+    """a times a factor_ratio value: each multiply by (1 - q**t), e > 0,
+    first, then each exact division, e < 0, each in ascending t.  Each
     factor is monic up to sign, so the divisions all succeed exactly when
-    the whole product over div_ts divides, and give the same quotient;
-    raises the NotDivisible of the first division that fails.
-    """
-    for t in mul_ts:
-        a = mul_one_minus_qt(a, t)
-    for t in div_ts:
-        a = div_one_minus_qt(a, t)
+    the ratio's denominator divides, and give the same quotient; raises the
+    NotDivisible of the first division that fails."""
+    for t, e in ratio:
+        for _ in range(e):
+            a = mul_one_minus_qt(a, t)
+    for t, e in ratio:
+        for _ in range(-e):
+            a = div_one_minus_qt(a, t)
     return a
 
 
 @cache
-def ratio_poly(up, down):
-    """mul_ratio(ONE, up, down) for tuples up and down, built once per
-    process; NotDivisible when the ratio is not a polynomial."""
-    return mul_ratio(ONE, up, down)
-
-
-def cancel_factors(up, down):
-    """The t of a ratio's numerator factors (1 - q**t) and of its
-    denominator factors, each as a sorted tuple once the factors common to
-    both are removed."""
-    up, down = Counter(up), Counter(down)
-    return tuple(sorted((up - down).elements())), tuple(sorted((down - up).elements()))
+def ratio_poly(ratio):
+    """mul_ratio(ONE, ratio), built once per process for each ratio;
+    NotDivisible when the ratio is not a polynomial."""
+    return mul_ratio(ONE, ratio)
 
 
 def sum_shifted(terms):

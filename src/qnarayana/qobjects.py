@@ -43,7 +43,7 @@ def q_shifted_factorial(n):
     """(1-q)(1-q^2)...(1-q^n); the empty product 1 for n = 0."""
     if n < 0:
         raise InvalidParameter(f"q_shifted_factorial requires n >= 0, got {n}")
-    return mul_ratio(ONE, range(1, n + 1), ())
+    return mul_ratio(ONE, tuple((t, 1) for t in range(1, n + 1)))
 
 
 def q_binomial(n, k):
@@ -90,11 +90,11 @@ def narayana_powers(n, r):
         if not is_nonneg(power):
             raise ArithmeticError(f"q_narayana({n}, {i}) has a negative coefficient")
         yield power
-        up, down = {n - i, n - i + 1}, {i, i + 1}
+        above, below = {n - i, n - i + 1}, {i, i + 1}
         for _ in range(r if i < n else 0):
-            for t in up - down:
+            for t in above - below:
                 power = mul_one_minus_qt(power, t)
-            for t in down - up:
+            for t in below - above:
                 power = div_one_minus_qt(power, t)
 
 
@@ -103,19 +103,19 @@ def q_catalan(n):
     coefficients and constant term 1."""
     if n < 1:
         raise InvalidParameter(f"q_catalan requires n >= 1, got {n}")
-    value = mul_ratio(q_binomial(2 * n, n), (1,), (n + 1,))
+    value = mul_ratio(q_binomial(2 * n, n), ((1, 1), (n + 1, -1)))
     if not is_nonneg(value):
         raise ArithmeticError(f"q_catalan({n}) has a negative coefficient")
     return value
 
 
 def catalan_factors(n):
-    """The t of the factors (1 - q^t) of q_catalan(n) as a ratio, the
-    numerator's and the denominator's: qbinom(2n, n) / [n+1] is the product
-    of (1 - q^t) over n+2 <= t <= 2n divided by the product over 2 <= t <= n,
-    once (1 - q^(n+1)) and (1 - q) cancel.  The modulus thm12 and conj32
-    divide by; q_catalan builds the same polynomial faster."""
-    return tuple(range(n + 2, 2 * n + 1)), tuple(range(2, n + 1))
+    """q_catalan(n) as a ratio of factors (1 - q^t), a factor_ratio value:
+    qbinom(2n, n) / [n+1] is the product of (1 - q^t) over n+2 <= t <= 2n
+    divided by the product over 2 <= t <= n, once (1 - q^(n+1)) and (1 - q)
+    cancel.  The modulus thm12 and conj32 divide by; q_catalan builds the
+    same polynomial faster."""
+    return tuple((t, -1 if t <= n else 1) for t in range(2, 2 * n + 1) if t != n + 1)
 
 
 def narayana_int(n, k):

@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import InvalidParameter
-from .polyarith import IntPoly, cancel_factors, eval_int, mul_ratio, ratio_poly, sum_shifted
+from .polyarith import IntPoly, eval_int, factor_ratio, mul_ratio, ratio_poly, sum_shifted
 from .qobjects import narayana_powers, q_binomial
 
 
@@ -92,28 +92,28 @@ def thm12_sum(n, r, j):
 
 def _binomial_factors(pairs):
     """The product of qbinom(a, b) over a list of pairs (a, b), 0 <= b <= a,
-    as the t of its numerator's and its denominator's factors (1 - q^t), the
-    common ones cancelled: qbinom(a, b) is the product over 1 <= t <= b of
+    as a factor_ratio value: qbinom(a, b) is the product over 1 <= t <= b of
     (1 - q^(a-b+t)) / (1 - q^t)."""
-    return cancel_factors([t for a, b in pairs for t in range(a - b + 1, a + 1)],
-                          [t for _, b in pairs for t in range(1, b + 1)])
+    return factor_ratio([*((t, 1) for a, b in pairs for t in range(a - b + 1, a + 1)),
+                         *((t, -1) for _, b in pairs for t in range(1, b + 1))])
 
 
 def _chain_terms(n1, pairs):
     """(k, (-1)^k * the product of qbinom(a, b) over pairs(k)) for each k in
     -n1..n1 where every 0 <= b <= a, an interval as each b rises by one with
-    k.  The term before the first is taken as its first pair's q_binomial,
-    and each term is the one before times the ratio of their factors, exact
-    as the quotient is again a product of q-binomials."""
+    k.  The first term is its first pair's q_binomial times the other pairs'
+    _binomial_factors.  Along k every a is fixed and every b rises by one, so
+    each later term is the one before times the product over its pairs of
+    qbinom(a, b) / qbinom(a, b-1) = (1 - q^(a-b+1)) / (1 - q^b)."""
     terms = []
     for k in range(-n1, n1 + 1):
         factors = pairs(k)
         if all(0 <= b <= a for a, b in factors):
-            up, down = _binomial_factors(factors)
-            if not terms:
-                prod, last = q_binomial(*factors[0]), _binomial_factors(factors[:1])
-            prod = mul_ratio(prod, *cancel_factors(up + last[1], down + last[0]))
-            last = up, down
+            if terms:
+                step = (p for a, b in factors for p in ((a - b + 1, 1), (b, -1)))
+                prod = mul_ratio(prod, factor_ratio(step))
+            else:
+                prod = mul_ratio(q_binomial(*factors[0]), _binomial_factors(factors[1:]))
             terms.append((k, -prod if k % 2 else prod))
     return tuple(terms)
 
@@ -145,13 +145,13 @@ def cyclic_sum(ns, f):
 
 def cyclic_modulus(ns):
     """The polynomial of the modulus cyclic_modulus_factors(ns); monic."""
-    return ratio_poly(*cyclic_modulus_factors(ns))
+    return ratio_poly(cyclic_modulus_factors(ns))
 
 
 def cyclic_modulus_factors(ns):
     """The cyclic modulus qbinom(n1 + n_last + 1, n1) * prod [ni + n_next + 1]
-    as the t of its numerator's and its denominator's factors (1 - q^t), the
-    common ones cancelled; [m] is qbinom(m, 1)."""
+    as a ratio of factors (1 - q^t), a factor_ratio value; [m] is
+    qbinom(m, 1)."""
     ns = validated_ns(ns)
     pairs = [(ns[0] + ns[-1] + 1, ns[0]), *((a + b + 1, 1) for a, b in zip(ns, ns[1:]))]
     return _binomial_factors(pairs)
@@ -160,13 +160,13 @@ def cyclic_modulus_factors(ns):
 @lru_cache(maxsize=1)
 def _gjz_chain(ns):
     """The j-independent parts of gjz_sum for one chain: its signed per-k
-    products, and the t of the prefactor's factors (1 - q^t), the common ones
-    cancelled.  Each (q;q)_ni occurs twice above and twice below, so the
-    prefactor is prod qbinom(ni + n_next, ni) / prod qbinom(2*ni, ni)."""
+    products, and its prefactor (q;q)_{n1} prod (q;q)_{ni + n_next} / prod
+    (q;q)_{2*ni} as a factor_ratio value, (q;q)_n being the product of
+    (1 - q^t) over 1 <= t <= n."""
     terms = _chain_terms(ns[0], lambda k: [(2 * ni, ni + k) for ni in ns])
-    up, down = _binomial_factors([(a + b, a) for a, b in zip(ns, ns[1:])])
-    central_up, central_down = _binomial_factors([(2 * ni, ni) for ni in ns])
-    return (terms, *cancel_factors(up + central_down, down + central_up))
+    factorials = [(ns[0], 1), *((a + b, 1) for a, b in zip(ns, ns[1:] + (0,))),
+                  *((2 * ni, -1) for ni in ns)]
+    return terms, factor_ratio((t, e) for n, e in factorials for t in range(1, n + 1))
 
 
 def gjz_sum(ns, j):
@@ -182,6 +182,6 @@ def gjz_sum(ns, j):
     ns = validated_ns(ns)
     if j < 0:
         raise InvalidParameter(f"j must be >= 0, got {j}")
-    terms, numerator, denominator = _gjz_chain(ns)
+    terms, prefactor = _gjz_chain(ns)
     total = sum_shifted((j * k * k + binom2(k), prod) for k, prod in terms)
-    return mul_ratio(total, numerator, denominator)
+    return mul_ratio(total, prefactor)

@@ -155,24 +155,22 @@ class ProofTrace:
     quotient: IntPoly
 
 
-def check_divisibility(poly, factors):
+def check_divisibility(poly, modulus):
     """Exact quotient of poly by a modulus, or None when the modulus does
     not divide it.
 
-    factors, the modulus's one definition, is the pair (up, down) of tuples
-    of t whose ratio prod (1 - q^t) over up / prod over down is the modulus;
-    NotDivisible unless that ratio is a polynomial.  The quotient is poly
-    times each down factor, divided exactly by each up factor: each is monic
-    up to sign, so this succeeds exactly when the modulus divides poly.  The
-    quotient is re-multiplied against the modulus before it is returned.
+    modulus, the modulus's one definition, is a factor_ratio value;
+    NotDivisible unless it is a polynomial.  The quotient is poly times the
+    inverse ratio, each (t, -e): every factor is monic up to sign, so this
+    succeeds exactly when the modulus divides poly.  The quotient is
+    re-multiplied against the modulus before it is returned.
     """
-    up, down = factors
-    modulus = ratio_poly(up, down)
+    modulus_poly = ratio_poly(modulus)
     try:
-        quotient = mul_ratio(poly, down, up)
+        quotient = mul_ratio(poly, [(t, -e) for t, e in modulus])
     except NotDivisible:
         return None
-    if quotient * modulus != poly:
+    if quotient * modulus_poly != poly:
         raise ArithmeticError("division re-multiplication mismatch")
     return quotient
 
@@ -198,7 +196,7 @@ def _verify_thm11(case):
             raise ArithmeticError(
                 f"integer and polynomial routes disagree on the sum at n={n}, r={r}"
             )
-        if eval_int(ratio_poly(*catalan_factors(n)), 1) != modulus:
+        if eval_int(ratio_poly(catalan_factors(n)), 1) != modulus:
             raise ArithmeticError(f"integer and polynomial routes disagree at n={n}")
     return _int_verdict(case, total, modulus)
 

@@ -94,7 +94,7 @@ def test_criterion_3_pinned_values():
         assert thm12_sum(2, 1, 0) == IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1))
         modulus = q_catalan(2)
         assert modulus == IntPoly((1, 0, 1))
-        assert check_divisibility(thm12_sum(2, 1, 0), ((4,), (2,))) == Q**6
+        assert check_divisibility(thm12_sum(2, 1, 0), ((2, -1), (4, 1))) == Q**6
         assert q_catalan(3) == IntPoly((1, 0, 1, 1, 1, 0, 1))
 
 

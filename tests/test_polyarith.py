@@ -15,11 +15,11 @@ from qnarayana.polyarith import (
     Q,
     ZERO,
     IntPoly,
-    cancel_factors,
     div_one_minus_qt,
     divmod_poly,
     eval_int,
     exact_div,
+    factor_ratio,
     gcd_bezout,
     is_nonneg,
     mul_one_minus_qt,
@@ -283,14 +283,30 @@ class TestOneMinusQtKernels:
 
     def test_mul_ratio_pinned(self):
         # (1 - q^4) / (1 - q^2) = 1 + q^2; 1 + q is not a multiple of 1 - q^2.
-        assert mul_ratio(ONE, (4,), (2,)) == IntPoly((1, 0, 1))
-        assert mul_ratio(IntPoly((1, 1)), (), ()) == IntPoly((1, 1))
+        assert mul_ratio(ONE, ((2, -1), (4, 1))) == IntPoly((1, 0, 1))
+        assert mul_ratio(IntPoly((1, 1)), ()) == IntPoly((1, 1))
         with pytest.raises(NotDivisible):
-            mul_ratio(IntPoly((1, 1)), (1,), (2, 3))
+            mul_ratio(IntPoly((1, 1)), ((1, 1), (2, -1), (3, -1)))
 
-    def test_cancel_factors(self):
-        assert cancel_factors([1, 2, 2, 5], (2, 3, 1)) == ((2, 5), (3,))
-        assert cancel_factors((), [4, 4]) == ((), (4, 4))
+    def test_factor_ratio(self):
+        pairs = [(5, 1), (2, 1), (1, 1), (2, 1), (3, -1), (2, -1), (1, -1)]
+        # Sorted by t, whatever the order of the pairs.
+        assert factor_ratio(pairs) == factor_ratio(reversed(pairs)) == ((2, 1), (3, -1), (5, 1))
+        # Factors above and below cancel, and exponents are summed per t.
+        assert factor_ratio([(4, -1), (4, -1)]) == ((4, -2),)
+        assert factor_ratio([(4, 2), (4, -1), (7, 1), (4, -1)]) == ((7, 1),)
+        # A zero exponent is dropped.
+        assert factor_ratio([(3, 0), (6, 1)]) == ((6, 1),)
+        assert factor_ratio([]) == ()
+
+    @given(wide_int_polys,
+           st.lists(st.tuples(factor_ts, st.integers(min_value=-3, max_value=3)), max_size=6))
+    def test_mul_ratio_round_trip(self, a, pairs):
+        ratio = factor_ratio(pairs)
+        inverse = tuple((t, -e) for t, e in ratio)
+        # a times the ratio's denominator, so that the ratio applies exactly.
+        a = mul_ratio(a, tuple((t, -e) for t, e in ratio if e < 0))
+        assert mul_ratio(mul_ratio(a, ratio), inverse) == a
 
     def test_sum_shifted_rejects_negative_shift(self):
         with pytest.raises(InvalidParameter):

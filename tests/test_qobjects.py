@@ -8,7 +8,16 @@ import sys
 import pytest
 
 from qnarayana.errors import InvalidParameter
-from qnarayana.polyarith import ONE, ZERO, IntPoly, eval_int, exact_div, is_nonneg, mul_ratio
+from qnarayana.polyarith import (
+    ONE,
+    ZERO,
+    IntPoly,
+    eval_int,
+    exact_div,
+    factor_ratio,
+    is_nonneg,
+    mul_ratio,
+)
 from qnarayana.qobjects import (
     _qbinom,
     catalan_factors,
@@ -45,7 +54,7 @@ def narayana_by_product(n, k):
     by [n] = (1 - q^n) / (1 - q) done as a ratio of factors."""
     if k < 1 or k > n:
         return ZERO
-    return mul_ratio(q_binomial(n, k) * q_binomial(n, k - 1), (1,), (n,))
+    return mul_ratio(q_binomial(n, k) * q_binomial(n, k - 1), factor_ratio([(1, 1), (n, -1)]))
 
 
 def qbinom_by_factorials(n, k):
@@ -228,9 +237,9 @@ class TestQCatalan:
             q_catalan(0)
 
     def test_factors_give_the_product_formula(self):
-        assert catalan_factors(3) == ((5, 6), (2, 3))
+        assert catalan_factors(3) == ((2, -1), (3, -1), (5, 1), (6, 1))
         for n in range(1, 31):
-            assert mul_ratio(ONE, *catalan_factors(n)) == q_catalan(n), n
+            assert mul_ratio(ONE, catalan_factors(n)) == q_catalan(n), n
 
 
 class TestClassicalIntegers:

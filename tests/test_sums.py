@@ -349,9 +349,9 @@ class TestCyclicModulus:
 
     def test_factors_pinned(self):
         # qbinom(5, 2) * [5] = (1-q^4)(1-q^5)(1-q^5) / ((1-q)(1-q^2)(1-q)).
-        assert cyclic_modulus_factors((2, 2)) == ((4, 5, 5), (1, 1, 2))
+        assert cyclic_modulus_factors((2, 2)) == ((1, -2), (2, -1), (4, 1), (5, 2))
         # qbinom(5, 3) * [5]: the (1 - q^3) above and below cancel.
-        assert cyclic_modulus_factors((3, 1)) == ((4, 5, 5), (1, 1, 2))
+        assert cyclic_modulus_factors((3, 1)) == ((1, -2), (2, -1), (4, 1), (5, 2))
 
     def test_factors_give_the_modulus(self):
         chains = {(n,) * r for n in range(1, 13) for r in range(1, 5)}

@@ -13,7 +13,7 @@ import qnarayana
 from qnarayana import cli, polyarith, qobjects, sums, verify
 from qnarayana.cli import main
 from qnarayana.errors import InvalidParameter, NotDivisible, ProofError
-from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div, ratio_poly
+from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div, factor_ratio, ratio_poly
 from qnarayana.qobjects import q_binomial, q_integer
 from qnarayana.sums import cyclic_modulus, cyclic_modulus_factors, cyclic_sum
 from qnarayana.verify import (
@@ -81,6 +81,12 @@ def modulus_by_long_division(up, down):
     return exact_div(numerator, denominator)
 
 
+def as_ratio(up, down):
+    """The factor_ratio value of the product of (1 - q^t) over up divided by
+    that over down."""
+    return factor_ratio([*((t, 1) for t in up), *((t, -1) for t in down)])
+
+
 def long_division_outcome(poly, modulus):
     try:
         return exact_div(poly, modulus)
@@ -90,37 +96,37 @@ def long_division_outcome(poly, modulus):
 
 class TestCheckDivisibility:
     def test_pinned_divisible(self):
-        quotient = check_divisibility(IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1)), ((4,), (2,)))
+        quotient = check_divisibility(IntPoly((0, 0, 0, 0, 0, 0, 1, 0, 1)), ((2, -1), (4, 1)))
         assert quotient == IntPoly((0, 0, 0, 0, 0, 0, 1))
 
     def test_pinned_trivial_modulus_with_negative_quotient(self):
-        quotient = check_divisibility(IntPoly((1, 1, 0, -1)), ((), ()))
+        quotient = check_divisibility(IntPoly((1, 1, 0, -1)), ())
         assert quotient == IntPoly((1, 1, 0, -1))
 
     def test_pinned_not_divisible(self):
-        assert check_divisibility(IntPoly((1, 1)), ((3,), (1,))) is None
+        assert check_divisibility(IntPoly((1, 1)), ((1, -1), (3, 1))) is None
 
     def test_factors_that_are_no_polynomial_raise(self):
         with pytest.raises(NotDivisible):
-            check_divisibility(ONE, ((1,), (2,)))
+            check_divisibility(ONE, ((1, 1), (2, -1)))
 
     def test_factors_define_the_modulus(self):
         # (1 - q^3) / (1 - q) is 1 + q + q^2, whatever modulus was meant.
-        assert ratio_poly((3,), (1,)) == IntPoly((1, 1, 1))
-        assert check_divisibility(IntPoly((1, 1, 1)), ((3,), (1,))) == ONE
-        assert check_divisibility(IntPoly((1, 0, 1)), ((3,), (1,))) is None
+        assert ratio_poly(((1, -1), (3, 1))) == IntPoly((1, 1, 1))
+        assert check_divisibility(IntPoly((1, 1, 1)), ((1, -1), (3, 1))) == ONE
+        assert check_divisibility(IntPoly((1, 0, 1)), ((1, -1), (3, 1))) is None
 
     @given(factor_ratios, wide_polys)
     def test_matches_long_division_on_multiples(self, factors, quotient):
         modulus = modulus_by_long_division(*factors)
         poly = modulus * quotient
-        assert check_divisibility(poly, factors) == quotient == exact_div(poly, modulus)
+        assert check_divisibility(poly, as_ratio(*factors)) == quotient == exact_div(poly, modulus)
 
     @given(factor_ratios, wide_polys, wide_polys.filter(bool))
     def test_matches_long_division_on_perturbed_input(self, factors, quotient, error):
         modulus = modulus_by_long_division(*factors)
         poly = modulus * quotient + error
-        assert check_divisibility(poly, factors) == long_division_outcome(poly, modulus)
+        assert check_divisibility(poly, as_ratio(*factors)) == long_division_outcome(poly, modulus)
 
     def test_default_conj33_sweep_builds_each_modulus_once(self, capsys):
         ranges = STATEMENTS["conj33"].ranges
