@@ -5,7 +5,12 @@ Runs the standing byte-identity set with each checkout's ``src`` on the
 path, and diffs the outputs: the 21 default-sweep reports (seven statement
 ids in text, jsonl and csv), ``verify gjz --jobs 2``, ``sum gjz --ns
 12,9,12,9`` for j = 0..3, ``sum cyclic --ns 9,9 --f 0,-2,0,0,1`` and
-``proof --n 12 --r 3 --j 5``.  Each output is compared with its exit code
+``proof --n 12 --r 3 --j 5``.  Four more reach ratio paths of (1 - q^t)
+factors that those miss: ``qcatalan 60`` (q_catalan's own ratio),
+``qnarayana 61 30`` (the q-Narayana row), ``proof --n 8 --r 4 --j 7`` (a
+cyclic modulus with repeated factors, at the last claimed j) and ``verify
+conj33 --m 1..2 --ni-max 3 --j-max 7`` (j beyond the claimed range, where
+quotients go negative).  Each output is compared with its exit code
 and its stderr; the ``# generated:`` line and the jsonl meta line, which
 hold the timestamp and wall time, are removed first.
 
@@ -29,6 +34,10 @@ COMMANDS = [
     *(["sum", "gjz", "--ns", "12,9,12,9", "--j", str(j)] for j in range(4)),
     ["sum", "cyclic", "--ns", "9,9", "--f", "0,-2,0,0,1"],
     ["proof", "--n", "12", "--r", "3", "--j", "5"],
+    ["qcatalan", "60"],
+    ["qnarayana", "61", "30"],
+    ["proof", "--n", "8", "--r", "4", "--j", "7"],
+    ["verify", "conj33", "--m", "1..2", "--ni-max", "3", "--j-max", "7"],
 ]
 
 VARYING = ("# generated:", '{"meta":')

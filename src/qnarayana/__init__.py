@@ -21,7 +21,6 @@ from .polyarith import (
     ZERO,
     IntPoly,
     eval_int,
-    exact_div,
     gcd_bezout,
     is_nonneg,
 )
@@ -33,7 +32,6 @@ from .qobjects import (
     q_catalan,
     q_integer,
     q_narayana,
-    q_shifted_factorial,
 )
 from .sums import (
     NormalizedSum,
@@ -65,12 +63,10 @@ __all__ = [
     "ONE",
     "Q",
     "IntPoly",
-    "exact_div",
     "gcd_bezout",
     "eval_int",
     "is_nonneg",
     "q_integer",
-    "q_shifted_factorial",
     "q_binomial",
     "q_narayana",
     "q_catalan",

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import InvalidParameter, NotDivisible, ProofError
-from .polyarith import IntPoly
+from .polyarith import IntPoly, int_text
 from .qobjects import q_binomial, q_catalan, q_narayana
 from .sums import cyclic_sum, gjz_sum, thm12_sum, validated_ns
 from .verify import (
@@ -199,9 +199,9 @@ def evaluate_case(case):
     "error" record with the exception's kind and message, so the sweep goes on."""
     try:
         verdict = verify_case(case)
+        return outcome(verdict), result_record(verdict)
     except Exception as exc:
         return "error", {**_case_record(case), "error": type(exc).__name__, "message": str(exc)}
-    return outcome(verdict), result_record(verdict)
 
 
 def summarize(results):
@@ -480,7 +480,7 @@ def build_parser():
 
 def _emit_poly(poly, fmt, stream, shift=None):
     if fmt == "jsonl":
-        record = {"coeffs": [str(c) for c in poly.coeffs]}
+        record = {"coeffs": [int_text(c) for c in poly.coeffs]}
         if shift is not None:
             record["shift"] = shift
         stream.write(_dumps(record) + "\n")

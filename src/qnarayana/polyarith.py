@@ -45,6 +45,7 @@ ints produced by that arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache
 from itertools import accumulate
 from math import comb
@@ -144,10 +145,10 @@ class IntPoly:
                 continue
             mag = -c if c < 0 else c
             if exp == 0:
-                body = str(mag)
+                body = int_text(mag)
             else:
                 var = "q" if exp == 1 else f"q^{exp}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{int_text(mag)}*{var}"
             if not parts:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
@@ -161,6 +162,15 @@ class IntPoly:
 ZERO = IntPoly(())
 ONE = IntPoly((1,))
 Q = IntPoly((0, 1))
+
+
+def int_text(c):
+    """str(c) for any int c, through decimal.Decimal where str refuses one
+    of more than sys.get_int_max_str_digits() digits."""
+    try:
+        return str(c)
+    except ValueError:
+        return str(Decimal(c))
 
 
 def _trusted(coeffs):

@@ -91,6 +91,7 @@ def narayana_powers(n, r):
             raise ArithmeticError(f"q_narayana({n}, {i}) has a negative coefficient")
         yield power
         above, below = {n - i, n - i + 1}, {i, i + 1}
+        # Not mul_ratio: this frame would hold the old power while it built the next.
         for _ in range(r if i < n else 0):
             for t in above - below:
                 power = mul_one_minus_qt(power, t)

@@ -178,6 +178,21 @@ class TestOutcomes:
         assert summarize((error, finding))["exit"] == 1
         assert summarize((failure, finding))["exit"] == 1
 
+    def test_rendering_error_keeps_the_sweep_going(self, monkeypatch, capsys):
+        def render_all_but_j1(verdict):
+            if verdict.case.j == 1:
+                raise ValueError("cannot render")
+            return result_record(verdict)
+
+        monkeypatch.setattr(cli, "result_record", render_all_but_j1)
+        argv = ["verify", "thm12", "--n", "1", "--r", "1", "--jobs", "1", "--format", "jsonl"]
+        assert main(argv) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [record.get("error") for record in records[:2]] == [None, "ValueError"]
+        assert records[1]["message"] == "cannot render"
+        assert records[2]["summary"]["passed"] == 1
+        assert records[2]["summary"]["errors"] == 1
+
     def test_evaluate_case_captures_errors(self):
         assert evaluate_case(CaseSpec("thm12", n=1, r=1)) == (
             "error",
@@ -394,6 +409,16 @@ class TestCommandLine:
     def test_qbinom_command(self, capsys):
         assert main(["qbinom", "4", "2"]) == 0
         assert capsys.readouterr().out == "q^4 + q^3 + 2*q^2 + q + 1\n"
+
+    def test_single_value_beyond_the_str_digit_limit(self, monkeypatch, capsys):
+        # 5000 digits, more than str converts under the default limit (4300).
+        big = 10**4999 + 7
+        digits = "1" + "0" * 4998 + "7"
+        monkeypatch.setattr(cli, "q_catalan", lambda n: IntPoly((-big, 3)))
+        assert main(["qcatalan", "3", "--format", "jsonl"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"coeffs": ["-" + digits, "3"]}
+        assert main(["qcatalan", "3"]) == 0
+        assert capsys.readouterr().out == f"3*q - {digits}\n"
 
     def test_qcatalan_jsonl(self, capsys):
         assert main(["qcatalan", "3", "--format", "jsonl"]) == 0

@@ -1,5 +1,6 @@
 """Golden report bytes: sha256 digests of all three report formats for one
-small sweep per statement and for a hand-built report holding a
+small sweep per statement, for a thm11 case whose quotient is longer than
+str converts by default, and for a hand-built report holding a
 non-divisible verdict and error rows, plus the text and jsonl output of
 three proof replays.
 
@@ -99,6 +100,16 @@ PROOFS = {
     },
 }
 
+# verify thm11 --n 15 --r 280: its quotient, an integer of 4359 digits, is
+# longer than str converts under the interpreter's default limit of 4300.
+# The digests equal those the parent implementation printed with that limit
+# lifted (python -X int_max_str_digits=0).
+LARGE_INTEGER = {
+    "text": "ac0f6865483b6282ab34215ecb8eeabab33ceaa91a07f50aeb9a2f49defc1e34",
+    "jsonl": "cc347656611bfd2988e71d3892268302e17fedcbf4c4bb81322faf49017d5295",
+    "csv": "4aa0dad8cbe0c788760a0863a439375ad53576bd107b187da387b60f41127ba9",
+}
+
 HAND_BUILT = {
     "text": "5464ed6d9f710e5bf543c9f812b61831b06de8115b2d022ab4db443f721b44b7",
     "jsonl": "5f8024d74ad934ec93934ae48c21d367ac94d9c6dd157353ba6c44a457ed8050",
@@ -145,6 +156,14 @@ def test_sweep_report_bytes(statement, fmt, capsys):
     args, code, digests = SWEEPS[statement]
     assert main(["verify", statement, *args, "--format", fmt]) == code
     assert stable_digest(capsys.readouterr().out) == digests[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl", "csv"])
+def test_integer_beyond_the_str_digit_limit(fmt, capsys):
+    assert main(["verify", "thm11", "--n", "15", "--r", "280", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert stable_digest(captured.out) == LARGE_INTEGER[fmt]
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl", "csv"])

@@ -21,6 +21,7 @@ from qnarayana.polyarith import (
     exact_div,
     factor_ratio,
     gcd_bezout,
+    int_text,
     is_nonneg,
     mul_one_minus_qt,
     mul_ratio,
@@ -387,6 +388,15 @@ class TestFormat:
     def test_linear_term_has_no_caret(self):
         assert str(IntPoly((0, 1))) == "q"
         assert str(IntPoly((0, -7))) == "-7*q"
+
+    def test_integers_beyond_the_str_digit_limit(self):
+        # 5000 digits, more than str converts under the default limit (4300).
+        big = 10**4999 + 7
+        digits = "1" + "0" * 4998 + "7"
+        assert int_text(big) == digits
+        assert int_text(-big) == "-" + digits
+        assert int_text(-12) == "-12"
+        assert str(IntPoly((big, 0, -big))) == f"-{digits}*q^2 + {digits}"
 
 
     @given(wide_int_polys)
