@@ -41,7 +41,7 @@ from . import __version__
 from .errors import InvalidParameter, NotDivisible, ProofError
 from .polyarith import IntPoly, int_text
 from .qobjects import q_binomial, q_catalan, q_narayana
-from .sums import cyclic_sum, gjz_sum, thm12_sum, validated_ns
+from .sums import check_bound, cyclic_sum, gjz_sum, thm12_sum, validated_ns
 from .verify import (
     PARAMS,
     STATEMENTS,
@@ -67,6 +67,19 @@ _TEXT_COLUMNS = _CSV_COLUMNS[:-1] + ("outcome", "quotient")
 
 _QUOTIENT_CLIP = 64
 
+# Each verify option: the SweepSpec field, the case parameter it sets, what a
+# statement without that parameter "does not take", and what a bound error
+# calls the option (None for the values validate checks by their own rule).
+_OPTIONS = (
+    ("n_range", "n", "--n/--r ranges", "n range start"),
+    ("r_range", "r", "--n/--r ranges", "r range start"),
+    ("m_range", "ns", "chain bounds", "m range start"),
+    ("ni_max", "ns", "chain bounds", "ni-max"),
+    ("ns", "ns", "chain bounds", None),
+    ("j_max", "j", "j options", "j-max"),
+    ("f_suite", "f", "--f-suite", None),
+)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -89,43 +102,29 @@ class SweepSpec:
 
     def validate(self):
         fields = get_statement(self.statement).fields
-        if "ns" not in fields:
-            if self.ns is not None or self.m_range is not None or self.ni_max is not None:
-                raise InvalidParameter(f"{self.statement} does not take chain bounds")
+        for option, param, words, name in _OPTIONS:
+            value = getattr(self, option)
+            if value is None:
+                continue
+            if param not in fields:
+                raise InvalidParameter(f"{self.statement} does not take {words}")
+            if name is not None:
+                check_bound(param, value[0] if option.endswith("_range") else value, name)
+        if "n" in fields:
             if self.n_range is None or self.r_range is None:
                 raise InvalidParameter(f"{self.statement} requires --n and --r ranges")
-            for name, rng in (("n", self.n_range), ("r", self.r_range)):
-                if rng[0] < 1:
-                    raise InvalidParameter(f"{name} range must start at >= 1, got {rng[0]}")
-        else:
-            if self.n_range is not None or self.r_range is not None:
-                raise InvalidParameter(f"{self.statement} does not take --n/--r ranges")
-            if self.ns is not None:
-                if self.m_range is not None or self.ni_max is not None:
-                    raise InvalidParameter("--ns excludes --m and --ni-max")
-                validated_ns(self.ns)
-            else:
-                if self.m_range is None or self.ni_max is None:
-                    raise InvalidParameter(
-                        f"{self.statement} requires --ns or both --m and --ni-max"
-                    )
-                if self.m_range[0] < 1:
-                    raise InvalidParameter(f"m range must start at >= 1, got {self.m_range[0]}")
-                if self.ni_max < 1:
-                    raise InvalidParameter(f"ni-max must be >= 1, got {self.ni_max}")
-        if self.j_max is not None:
-            if "j" not in fields:
-                raise InvalidParameter(f"{self.statement} does not take j options")
-            if self.j_max < 0:
-                raise InvalidParameter(f"j-max must be >= 0, got {self.j_max}")
+        elif self.ns is not None:
+            if self.m_range is not None or self.ni_max is not None:
+                raise InvalidParameter("--ns excludes --m and --ni-max")
+            validated_ns(self.ns)
+        elif self.m_range is None or self.ni_max is None:
+            raise InvalidParameter(f"{self.statement} requires --ns or both --m and --ni-max")
         if "f" in fields:
             if not self.f_suite:
                 raise InvalidParameter(f"{self.statement} requires a nonempty f-suite")
             for f in self.f_suite:
                 if not isinstance(f, IntPoly):
                     raise InvalidParameter(f"f-suite entries must be IntPoly, got {f!r}")
-        elif self.f_suite is not None:
-            raise InvalidParameter(f"{self.statement} does not take --f-suite")
 
     def echo(self):
         """Deterministic one-line description of the sweep."""
@@ -146,39 +145,25 @@ class SweepSpec:
             parts.append("f=" + ";".join(_cell(f.coeffs) for f in self.f_suite))
         return " ".join(parts)
 
-    def _chains(self):
-        if self.ns is not None:
-            yield self.ns
-            return
-        for m in range(self.m_range[0], self.m_range[1] + 1):
-            yield from itertools.product(range(1, self.ni_max + 1), repeat=m)
-
     def expand(self):
         """All CaseSpecs, lexicographic in (n or ns, r, j, f-suite index)."""
-        name = self.statement
-        statement = get_statement(name)
-        if "ns" in statement.fields:
-            heads = [{"ns": ns} for ns in self._chains()]
+        statement = get_statement(self.statement)
+        if self.ns is not None:
+            heads = [{"ns": self.ns}]
+        elif "ns" in statement.fields:
+            heads = [{"ns": ns} for m in range(self.m_range[0], self.m_range[1] + 1)
+                     for ns in itertools.product(range(1, self.ni_max + 1), repeat=m)]
         else:
-            heads = [
-                {"n": n, "r": r}
-                for n in range(self.n_range[0], self.n_range[1] + 1)
-                for r in range(self.r_range[0], self.r_range[1] + 1)
-            ]
+            heads = [{"n": n, "r": r} for n in range(self.n_range[0], self.n_range[1] + 1)
+                     for r in range(self.r_range[0], self.r_range[1] + 1)]
         cases = []
         for head in heads:
-            if statement.j_scale is not None:
-                if self.j_max is None:
-                    j_values = range(statement.j_count(head.get("r"), head.get("ns")))
-                else:
-                    j_values = range(self.j_max + 1)
-                for j in j_values:
-                    cases.append(CaseSpec(name, j=j, **head))
-            elif "f" in statement.fields:
-                for f in self.f_suite:
-                    cases.append(CaseSpec(name, f=f, **head))
-            else:
-                cases.append(CaseSpec(name, **head))
+            j_values = [None]
+            if "j" in statement.fields:
+                j_count = statement.j_count(head.get("r"), head.get("ns"))
+                j_values = range(j_count if self.j_max is None else self.j_max + 1)
+            cases += [CaseSpec(self.statement, j=j, f=f, **head)
+                      for j in j_values for f in self.f_suite or [None]]
         return cases
 
 
@@ -510,14 +495,11 @@ def _emit_proof(trace, fmt, stream):
 
 def _sweep_spec(args):
     statement = STATEMENTS[args.statement]
-    fields = {name: getattr(args, name, None) for name in
-              ("n_range", "r_range", "m_range", "ni_max", "ns", "j_max", "f_suite")}
-    if fields["ns"] is None:
-        for name, value in statement.ranges.items():
-            if fields[name] is None:
-                fields[name] = value
-    if fields["f_suite"] is None:
-        fields["f_suite"] = statement.f_suite
+    fields = {option: getattr(args, option) for option, *_ in _OPTIONS}
+    defaults = {"f_suite": statement.f_suite, **(statement.ranges if args.ns is None else {})}
+    for option, value in defaults.items():
+        if fields[option] is None:
+            fields[option] = value
     return SweepSpec(statement=args.statement, **fields)
 
 

@@ -67,6 +67,16 @@ def validated_ns(ns):
     return indices
 
 
+# The least value of each integer case parameter, and of a chain's length and indices.
+LOWER_BOUNDS = {"n": 1, "r": 1, "j": 0, "ns": 1}
+
+
+def check_bound(param, value, name=None):
+    """InvalidParameter, calling value name (default param), unless it is >= param's bound."""
+    if value < LOWER_BOUNDS[param]:
+        raise InvalidParameter(f"{name or param} must be >= {LOWER_BOUNDS[param]}, got {value}")
+
+
 @lru_cache(maxsize=1)
 def _narayana_row(n, r):
     """For 0 <= i <= n, (-1)^i q_narayana(2n+1, n+i+1)**r.  The row is a
@@ -82,10 +92,9 @@ def thm12_sum(n, r, j):
     j may exceed the usual bound 2r-1; callers flag such cases as outside
     the guaranteed range rather than this function rejecting them.
     """
-    if n < 1 or r < 1:
-        raise InvalidParameter(f"n and r must be >= 1, got n={n}, r={r}")
-    if j < 0:
-        raise InvalidParameter(f"j must be >= 0, got {j}")
+    check_bound("n", n)
+    check_bound("r", r)
+    check_bound("j", j)
     row = _narayana_row(n, r)
     return sum_shifted((j * k * k + binom2(k), row[abs(k)]) for k in range(-n, n + 1))
 
@@ -180,8 +189,7 @@ def gjz_sum(ns, j):
     is guaranteed impossible for 0 <= j <= m-1).
     """
     ns = validated_ns(ns)
-    if j < 0:
-        raise InvalidParameter(f"j must be >= 0, got {j}")
+    check_bound("j", j)
     terms, prefactor = _gjz_chain(ns)
     total = sum_shifted((j * k * k + binom2(k), prod) for k, prod in terms)
     return mul_ratio(total, prefactor)

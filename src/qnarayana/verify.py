@@ -28,6 +28,7 @@ from .errors import InvalidParameter, NotDivisible, ProofError
 from .polyarith import ONE, IntPoly, eval_int, gcd_bezout, is_nonneg, mul_ratio, ratio_poly
 from .qobjects import catalan_factors, catalan_int, narayana_int, q_integer
 from .sums import (
+    check_bound,
     cyclic_modulus,
     cyclic_modulus_factors,
     cyclic_sum,
@@ -81,20 +82,17 @@ class CaseSpec:
         fields = get_statement(self.statement).fields
         for field in PARAMS:
             value = getattr(self, field)
-            if field in fields and value is None:
-                raise InvalidParameter(f"{self.statement} requires {field}")
-            if field not in fields and value is not None:
+            if value is None:
+                if field in fields:
+                    raise InvalidParameter(f"{self.statement} requires {field}")
+            elif field not in fields:
                 raise InvalidParameter(f"{self.statement} does not take {field}")
-        if self.n is not None and self.n < 1:
-            raise InvalidParameter(f"n must be >= 1, got {self.n}")
-        if self.r is not None and self.r < 1:
-            raise InvalidParameter(f"r must be >= 1, got {self.r}")
-        if self.j is not None and self.j < 0:
-            raise InvalidParameter(f"j must be >= 0, got {self.j}")
-        if self.ns is not None:
-            validated_ns(self.ns)
-        if self.f is not None and not isinstance(self.f, IntPoly):
-            raise InvalidParameter(f"f must be an IntPoly, got {self.f!r}")
+            elif field == "ns":
+                validated_ns(value)
+            elif field != "f":
+                check_bound(field, value)
+            elif not isinstance(value, IntPoly):
+                raise InvalidParameter(f"f must be an IntPoly, got {value!r}")
 
     def in_theorem_range(self):
         """True when the parameters fall inside the range the statement
@@ -333,8 +331,8 @@ def replay_proof(n, r, j):
     powers are coprime, divide by the composite modulus, and re-check every
     identity on the way.  Any failure raises ProofError: a falsification
     event, never swallowed."""
-    if n < 1 or r < 1:
-        raise InvalidParameter(f"n and r must be >= 1, got n={n}, r={r}")
+    check_bound("n", n)
+    check_bound("r", r)
     if not 0 <= j < STATEMENTS["thm12"].j_count(r, None):
         raise InvalidParameter(f"j must satisfy 0 <= j <= 2r-1, got {j}")
     ns = (n,) * r
