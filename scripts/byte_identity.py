@@ -10,9 +10,13 @@ factors that those miss: ``qcatalan 60`` (q_catalan's own ratio),
 ``qnarayana 61 30`` (the q-Narayana row), ``proof --n 8 --r 4 --j 7`` (a
 cyclic modulus with repeated factors, at the last claimed j) and ``verify
 conj33 --m 1..2 --ni-max 3 --j-max 7`` (j beyond the claimed range, where
-quotients go negative).  Each output is compared with its exit code
-and its stderr; the ``# generated:`` line and the jsonl meta line, which
-hold the timestamp and wall time, are removed first.
+quotients go negative).  Six are sweeps the option checks refuse, each with
+its own message: ``verify thm12 --ns 1``, ``verify conj31 --n 1..2``,
+``verify conj31 --j-max 2``, ``verify gjz --f-suite 0``, ``verify conj34
+--ns 1 --ni-max 3`` and ``verify thm12 --j-max -1``.  That is 38 commands.
+Each output is compared with its exit code and its stderr; the
+``# generated:`` line and the jsonl meta line, which hold the timestamp
+and wall time, are removed first.
 
     python scripts/byte_identity.py BEFORE_CHECKOUT AFTER_CHECKOUT
 
@@ -38,6 +42,12 @@ COMMANDS = [
     ["qnarayana", "61", "30"],
     ["proof", "--n", "8", "--r", "4", "--j", "7"],
     ["verify", "conj33", "--m", "1..2", "--ni-max", "3", "--j-max", "7"],
+    ["verify", "thm12", "--ns", "1"],
+    ["verify", "conj31", "--n", "1..2"],
+    ["verify", "conj31", "--j-max", "2"],
+    ["verify", "gjz", "--f-suite", "0"],
+    ["verify", "conj34", "--ns", "1", "--ni-max", "3"],
+    ["verify", "thm12", "--j-max", "-1"],
 ]
 
 VARYING = ("# generated:", '{"meta":')

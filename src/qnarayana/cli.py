@@ -23,6 +23,7 @@ Exit codes
     0  every theorem-class case passed (exploratory observations included)
     2  at least one conjecture-class finding was recorded, nothing failed
     1  theorem-class falsification, internal error, or usage error
+    141  the reader closed standard output early (128 + SIGPIPE)
 """
 
 import argparse
@@ -537,7 +538,13 @@ def main(argv=None):
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as out:
                 out.write(stream.getvalue())
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered nowhere, so the
+        # flush at exit cannot fail, and exit as SIGPIPE would end a process.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ProofError as exc:
         print(f"qnarayana: proof falsified: {exc}", file=sys.stderr)
         return 1

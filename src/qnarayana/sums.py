@@ -72,7 +72,7 @@ LOWER_BOUNDS = {"n": 1, "r": 1, "j": 0, "ns": 1}
 
 
 def check_bound(param, value, name=None):
-    """InvalidParameter, calling value name (default param), unless it is >= param's bound."""
+    """InvalidParameter unless value >= LOWER_BOUNDS[param]; the message calls it name or param."""
     if value < LOWER_BOUNDS[param]:
         raise InvalidParameter(f"{name or param} must be >= {LOWER_BOUNDS[param]}, got {value}")
 

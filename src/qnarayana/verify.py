@@ -55,7 +55,8 @@ PARAMS = ("n", "r", "j", "ns", "f")
 
 # thm11 cross-checks the polynomial route only up to this n: its thm12_sum
 # builds a row of r-th powers, and uncapped `verify thm11 --r 1..4` goes from
-# 0.42 to 1.1 s at --n 1..20 and 0.38 to 4.0 s at --n 1..30 (2-vCPU Xeon).
+# 0.41 to 0.90 s at --n 1..20 and 0.40 to 3.8 s at --n 1..30 (medians of 3
+# runs, each a fresh interpreter, 2-vCPU Xeon).
 _POLY_CROSS_CHECK_LIMIT = 14
 
 

@@ -4,6 +4,10 @@ exit-code contract."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,12 +27,23 @@ from qnarayana.cli import (
 from qnarayana.errors import InvalidParameter
 from qnarayana.polyarith import IntPoly
 from qnarayana.sums import thm12_sum
-from qnarayana.verify import DEFAULT_F_SUITE, CaseSpec, Verdict, outcome, verify_case
+from qnarayana.verify import DEFAULT_F_SUITE, STATEMENTS, CaseSpec, Verdict, outcome, verify_case
 
 CSV_HEADER = (
     "statement,n,r,j,ns,f,shift,divisible,quotient_nonneg,"
     "in_theorem_range,sum_degree,quotient"
 )
+
+# Each verify option: a tiny value, and the case parameter it sets.
+VERIFY_OPTIONS = {
+    "--n": ("1", "n"),
+    "--r": ("1", "r"),
+    "--m": ("1", "ns"),
+    "--ni-max": ("1", "ns"),
+    "--ns": ("1", "ns"),
+    "--j-max": ("0", "j"),
+    "--f-suite": ("0", "f"),
+}
 
 
 def error_row():
@@ -626,3 +641,30 @@ class TestCommandLine:
         lines = capsys.readouterr().out.splitlines()
         records = [json.loads(line) for line in lines[2:-1]]
         assert [record["f"] for record in records] == [[], [0, 0, 2]]
+
+    @pytest.mark.parametrize("option", VERIFY_OPTIONS)
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_option_taken_exactly_when_its_parameter_is(self, capsys, statement, option):
+        value, param = VERIFY_OPTIONS[option]
+        code = main(["verify", statement, option, value, "--format", "csv"])
+        captured = capsys.readouterr()
+        if param in STATEMENTS[statement].fields:
+            assert code in (0, 2)
+            assert captured.out.startswith(CSV_HEADER + "\n")
+            assert captured.err == ""
+        else:
+            assert code == 1
+            assert captured.out == ""
+            assert "does not take" in captured.err
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # The report runs to about 790 kB, far past a pipe's buffer, so the
+        # program is still writing when the reader closes its end.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "qnarayana", "verify", "gjz", "--format", "csv"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert child.stdout.readline().decode() == CSV_HEADER + "\n"
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        assert child.returncode == 141
+        assert err == b""
