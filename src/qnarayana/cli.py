@@ -23,6 +23,7 @@ Exit codes
     0  every theorem-class case passed (exploratory observations included)
     2  at least one conjecture-class finding was recorded, nothing failed
     1  theorem-class falsification, internal error, or usage error
+    130  interrupted by Ctrl-C (128 + SIGINT); nothing more is printed
     141  the reader closed standard output early (128 + SIGPIPE)
 """
 
@@ -545,6 +546,8 @@ def main(argv=None):
         # flush at exit cannot fail, and exit as SIGPIPE would end a process.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        return 130
     except ProofError as exc:
         print(f"qnarayana: proof falsified: {exc}", file=sys.stderr)
         return 1

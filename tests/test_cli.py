@@ -668,3 +668,19 @@ class TestCommandLine:
             _, err = child.communicate(timeout=60)
         assert child.returncode == 141
         assert err == b""
+
+    def test_interrupt_exits_130_quietly(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "kept.txt"
+        target.write_text("earlier output\n")
+
+        def interrupted(case):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "verify_case", interrupted)
+        try:
+            code = main(["verify", "thm12", "--n", "1", "--r", "1", "--out", str(target)])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")  # rather than end the test run
+        assert code == 130
+        assert capsys.readouterr().err == ""
+        assert target.read_text() == "earlier output\n"

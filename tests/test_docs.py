@@ -1,13 +1,22 @@
-"""The README's Library example runs as written, and its command lines
-parse."""
+"""The README's Library example runs as written, its command lines parse,
+the package root exports nothing but its version, which pyproject.toml
+states again, and every command of the standing byte-identity set parses."""
 
+import importlib.util
 import re
 import shlex
+import types
 from pathlib import Path
 
+import qnarayana
 from qnarayana.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+_spec = importlib.util.spec_from_file_location("byte_identity", ROOT / "scripts" / "byte_identity.py")
+byte_identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(byte_identity)
 
 
 def test_readme_library_example_runs():
@@ -23,3 +32,25 @@ def test_readme_command_lines_parse():
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True))
 
+
+def test_package_root_holds_only_the_version():
+    # Submodules appear on the package once imported; nothing else may.
+    names = [name for name, value in vars(qnarayana).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert names == []
+
+
+def test_pyproject_states_the_package_version():
+    # A regex rather than tomllib, which needs Python 3.11.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [qnarayana.__version__]
+
+
+def test_byte_identity_commands_parse():
+    # A renamed option would fail the same way in both checkouts and read as
+    # "same"; parsing each command here catches that.
+    assert len(byte_identity.COMMANDS) == 38
+    parser = build_parser()
+    for args in byte_identity.COMMANDS:
+        parser.parse_args(args)

@@ -52,6 +52,13 @@ class TestStatementCatalog:
             "conj34": "divisible",
         }
 
+    def test_fields_decide_j_scale_f_suite_and_ranges(self):
+        for name, s in STATEMENTS.items():
+            assert (s.j_scale is None) == ("j" not in s.fields), name
+            assert (s.f_suite is None) == ("f" not in s.fields), name
+            keys = {"n_range", "r_range"} if "n" in s.fields else {"m_range", "ni_max"}
+            assert set(s.ranges) == keys, name
+
 
 # Coefficients up to 2**100 of either sign, 0 to 20 terms.
 wide_polys = st.lists(
