@@ -35,9 +35,7 @@ import json
 import os
 import sys
 import time
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import __version__
 from .errors import InvalidParameter, NotDivisible, ProofError
@@ -83,8 +81,8 @@ _OPTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple("SweepSpec", "statement n_range r_range m_range ni_max ns j_max f_suite",
+                           defaults=(None,) * 7)):
     """A verify sweep: statement plus inclusive parameter ranges.
 
     Either an explicit chain ns or a chain-length range m_range with a
@@ -93,14 +91,7 @@ class SweepSpec:
     sweeps exactly the j values it claims, or 0..j_max when j_max is given.
     """
 
-    statement: str
-    n_range: tuple = None
-    r_range: tuple = None
-    m_range: tuple = None
-    ni_max: int = None
-    ns: tuple = None
-    j_max: int = None
-    f_suite: tuple = None
+    __slots__ = ()
 
     def validate(self):
         fields = get_statement(self.statement).fields
@@ -169,16 +160,11 @@ class SweepSpec:
         return cases
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(namedtuple("Report", "version spec_echo timestamp wall_seconds results")):
     """A finished sweep.  results holds one (outcome, record) pair per case,
     in expansion order, as evaluate_case returned it."""
 
-    version: str
-    spec_echo: str
-    timestamp: str
-    wall_seconds: float
-    results: tuple
+    __slots__ = ()
 
 
 def evaluate_case(case):
@@ -224,9 +210,15 @@ def run_sweep(spec, jobs=1):
     start = time.perf_counter()
     workers = min(jobs, len(cases), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here, so that a command forking no worker does not pay for
+        # importing the pool.
+        import multiprocessing
+        import signal
+
         chunksize = max(1, len(cases) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(evaluate_case, cases, chunksize=chunksize))
+        # Workers ignore Ctrl-C; leaving the block, by KeyboardInterrupt too, terminates them.
+        with multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+            results = tuple(pool.imap(evaluate_case, cases, chunksize))
     else:
         results = tuple(evaluate_case(case) for case in cases)
     wall = time.perf_counter() - start
@@ -480,7 +472,7 @@ def _emit_poly(poly, fmt, stream, shift=None):
 
 def _emit_proof(trace, fmt, stream):
     """The trace's fields are the record's keys; polynomials become text."""
-    record = {key: value if isinstance(value, int) else str(value) for key, value in vars(trace).items()}
+    record = {key: value if isinstance(value, int) else str(value) for key, value in trace._asdict().items()}
     if fmt == "jsonl":
         stream.write(_dumps(record) + "\n")
         return 0

@@ -42,9 +42,6 @@ by a trusted internal constructor that only trims: it may be given only
 ints produced by that arithmetic.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import comb
@@ -67,23 +64,40 @@ def _trimmed(coeffs):
     return tuple(coeffs[:end]) if end < len(coeffs) else tuple(coeffs)
 
 
-@dataclass(frozen=True)
 class IntPoly:
     """Polynomial with integer coefficients, stored dense and ascending.
 
     ``coeffs[i]`` is the coefficient of q**i.  The representation is
-    canonical (no trailing zeros), so dataclass equality and hashing agree
-    with mathematical equality.
+    canonical (no trailing zeros), so equality and hashing of ``coeffs``
+    agree with mathematical equality.  Values are immutable: assigning or deleting
+    an attribute raises AttributeError.
     """
 
-    coeffs: tuple = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = self.coeffs
-        for c in cs:
+    def __init__(self, coeffs=()):
+        for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
-        object.__setattr__(self, "coeffs", _trimmed([int(c) for c in cs]))
+        object.__setattr__(self, "coeffs", _trimmed([int(c) for c in coeffs]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Pickling rebuilds through _trusted, not by setting the frozen slot.
+        return _trusted, (self.coeffs,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def degree(self):

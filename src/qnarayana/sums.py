@@ -31,12 +31,12 @@ recorded as ``NormalizedSum.shift``.  Divisibility verdicts are unaffected:
 every modulus in scope has constant term 1, so it is coprime to q.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
 
 from .errors import InvalidParameter
-from .polyarith import IntPoly, eval_int, factor_ratio, mul_ratio, ratio_poly, sum_shifted
+from .polyarith import eval_int, factor_ratio, mul_ratio, ratio_poly, sum_shifted
 from .qobjects import narayana_powers, q_binomial
 
 
@@ -45,14 +45,12 @@ def binom2(k):
     return k * (k - 1) // 2
 
 
-@dataclass(frozen=True)
-class NormalizedSum:
+class NormalizedSum(namedtuple("NormalizedSum", "poly shift")):
     """A sum with nonnegative exponents plus the q-power factored out to get
     there: ``poly * q**(-shift)`` is the mathematically exact value, and
     shift is 0 whenever no raw exponent in the window was negative."""
 
-    poly: IntPoly
-    shift: int
+    __slots__ = ()
 
 
 def validated_ns(ns):

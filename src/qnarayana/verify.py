@@ -21,7 +21,7 @@ thm11 the polynomial cross-check is capped at small n to keep large sweeps
 fast; the integer route is authoritative at every size.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import InvalidParameter, NotDivisible, ProofError
@@ -60,24 +60,17 @@ PARAMS = ("n", "r", "j", "ns", "f")
 _POLY_CROSS_CHECK_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(namedtuple("CaseSpec", "statement n r j ns f", defaults=(None,) * 5)):
     """One fully-instantiated statement instance to verify.
 
     Only the fields the statement uses may be set: n, r, j for the
     Narayana-power family; ns (and j or f) for the chain families.
     """
 
-    statement: str
-    n: int = None
-    r: int = None
-    j: int = None
-    ns: tuple = None
-    f: IntPoly = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ns is not None:
-            object.__setattr__(self, "ns", tuple(self.ns))
+    def __new__(cls, statement, n=None, r=None, j=None, ns=None, f=None):
+        return super().__new__(cls, statement, n, r, j, None if ns is None else tuple(ns), f)
 
     def validate(self):
         fields = get_statement(self.statement).fields
@@ -109,8 +102,7 @@ class CaseSpec:
         return [(name, value) for name in PARAMS if (value := getattr(self, name)) is not None]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "case sum_degree shift quotient")):
     """Outcome of one case.  quotient is the exact quotient, or None when the
     modulus does not divide the sum; the three flags derive from it and the case.
 
@@ -119,10 +111,7 @@ class Verdict:
     is the normalization power of q factored out of the sum.
     """
 
-    case: CaseSpec
-    sum_degree: int
-    shift: int
-    quotient: IntPoly
+    __slots__ = ()
 
     @property
     def divisible(self):
@@ -138,20 +127,12 @@ class Verdict:
         return self.case.in_theorem_range()
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(namedtuple("ProofTrace", "n r j sum modulus bezout_u bezout_v quotient")):
     """Everything the replayed proof computed, already re-checked: the sum,
     the modulus, the Bezout cofactors certifying coprimality of the two
     q-integer powers, and the exact quotient."""
 
-    n: int
-    r: int
-    j: int
-    sum: IntPoly
-    modulus: IntPoly
-    bezout_u: IntPoly
-    bezout_v: IntPoly
-    quotient: IntPoly
+    __slots__ = ()
 
 
 def check_divisibility(poly, modulus):
@@ -248,8 +229,8 @@ def _verify_gjz(case):
     return Verdict(case, poly.degree, 0, poly)
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(namedtuple("Statement", "kind claim fields j_scale ranges build f_suite",
+                           defaults=(None,))):
     """Everything that distinguishes one statement id.
 
     kind is "theorem" (a failed claim is an implementation bug) or
@@ -264,13 +245,7 @@ class Statement:
     build turns a validated CaseSpec into its Verdict.
     """
 
-    kind: str
-    claim: str
-    fields: tuple
-    j_scale: int
-    ranges: dict
-    build: object
-    f_suite: tuple = None
+    __slots__ = ()
 
     def j_count(self, r, ns):
         """How many j the statement claims: j_scale times r, or times len(ns)

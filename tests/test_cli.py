@@ -4,9 +4,12 @@ exit-code contract."""
 
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -381,8 +384,8 @@ class TestWorkers:
         requested = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+            def __init__(self, processes, initializer=None, initargs=()):
+                requested.append(processes)
 
             def __enter__(self):
                 return self
@@ -390,10 +393,10 @@ class TestWorkers:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
+            def imap(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         return requested
 
     def two_cases(self):
@@ -684,3 +687,56 @@ class TestCommandLine:
         assert code == 130
         assert capsys.readouterr().err == ""
         assert target.read_text() == "earlier output\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                        reason="reads process state from /proc; --jobs 2 needs two CPUs")
+    def test_interrupted_pool_sweep_exits_130_and_leaves_no_worker(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "qnarayana", "verify", "thm12", "--n", "1..40", "--r", "1..3",
+                "--format", "csv", "--jobs", "2"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                              start_new_session=True) as child:
+            try:
+                # Signal the group only once both workers ignore SIGINT, as a
+                # terminal's Ctrl-C reaches a running sweep.
+                while len(group_ignoring_sigint(child.pid)) < 2:
+                    assert child.poll() is None, child.stderr.read()
+                    time.sleep(0.01)
+                os.killpg(child.pid, signal.SIGINT)
+                out, err = child.communicate(timeout=120)
+            finally:
+                if child.poll() is None:
+                    os.killpg(child.pid, signal.SIGKILL)
+        assert child.returncode == 130
+        assert err == b""
+        assert out == b""
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
+
+
+def group_ignoring_sigint(pgid):
+    """The processes of process group pgid whose SIGINT disposition is
+    ignore, read from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            if not entry.isdigit() or os.getpgid(int(entry)) != pgid:
+                continue
+            with open(f"/proc/{entry}/status", encoding="ascii") as status:
+                ignored = next(line for line in status if line.startswith("SigIgn:"))
+        except (OSError, StopIteration):
+            continue  # the process has gone
+        if int(ignored.split()[1], 16) & 1 << (signal.SIGINT - 1):
+            pids.append(int(entry))
+    return pids
+
+
+def test_start_up_loads_no_pool_dataclasses_or_decimal():
+    # A fresh interpreter, since this one's tests have imported all of them.
+    code = ("import sys, qnarayana.cli; qnarayana.cli.build_parser();"
+            " print(*sorted({'dataclasses', 'concurrent.futures', 'multiprocessing', 'decimal'}"
+            " & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "\n"

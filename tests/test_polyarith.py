@@ -1,6 +1,7 @@
 """Ring axioms, exact division, Bezout cofactors, evaluation, and
 serialization behavior of the polynomial core."""
 
+import pickle
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -108,6 +109,34 @@ class TestConstruction:
         assert ZERO.shift(5) == ZERO
         with pytest.raises(InvalidParameter):
             ONE.shift(-1)
+
+
+class TestValueSemantics:
+    def test_equal_and_hashed_by_canonical_coefficients(self):
+        assert IntPoly((1, 0)) == IntPoly((1,))
+        assert hash(IntPoly((1, 0))) == hash(IntPoly((1,)))
+        assert IntPoly((1, 2)) != IntPoly((1,))
+
+    def test_never_equal_to_a_tuple(self):
+        assert IntPoly((1,)) != (1,)
+        assert (1,) != IntPoly((1,))
+
+    def test_attributes_cannot_be_set_or_deleted(self):
+        p = IntPoly((1, 2))
+        with pytest.raises(AttributeError):
+            p.coeffs = (3,)
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        with pytest.raises(AttributeError):
+            p.other = 1
+        assert p.coeffs == (1, 2)
+
+    def test_pickle_round_trip(self):
+        p = IntPoly((-(2**200) - 7, 0, 3))
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p
+        assert type(copy) is IntPoly
+        assert copy.coeffs == (-(2**200) - 7, 0, 3)
 
 
 class TestRingOperations:

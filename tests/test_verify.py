@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import pickle
 import pkgutil
 import sys
 
@@ -15,7 +16,7 @@ from qnarayana.cli import main
 from qnarayana.errors import InvalidParameter, NotDivisible, ProofError
 from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div, factor_ratio, ratio_poly
 from qnarayana.qobjects import q_binomial, q_integer
-from qnarayana.sums import cyclic_modulus, cyclic_modulus_factors, cyclic_sum
+from qnarayana.sums import NormalizedSum, cyclic_modulus, cyclic_modulus_factors, cyclic_sum
 from qnarayana.verify import (
     STATEMENTS,
     CaseSpec,
@@ -243,6 +244,21 @@ class TestCaseSpec:
     def test_ns_normalized_to_tuple(self):
         case = CaseSpec("conj31", ns=[1, 2])
         assert case.ns == (1, 2)
+
+    def test_ns_normalized_after_other_fields(self):
+        assert CaseSpec("gjz", j=0, ns=[1, 2]).ns == (1, 2)
+        assert CaseSpec("gjz", None, None, 0, [1, 2]).ns == (1, 2)
+
+
+@pytest.mark.parametrize("value", [
+    CaseSpec("conj34", ns=(1, 2), f=IntPoly((0, -1, 0, 0, 1))),
+    Verdict(CaseSpec("thm12", n=2, r=1, j=0), 4, 0, IntPoly((1, 0, 2**201))),
+    NormalizedSum(IntPoly((0, 5)), 3),
+], ids=["CaseSpec", "Verdict", "NormalizedSum"])
+def test_pickle_round_trip(value):
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value
+    assert type(copy) is type(value)
 
 
 class TestVerifyCase:
