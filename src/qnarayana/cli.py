@@ -103,6 +103,9 @@ class SweepSpec(namedtuple("SweepSpec", "statement n_range r_range m_range ni_ma
                 raise InvalidParameter(f"{self.statement} does not take {words}")
             if name is not None:
                 check_bound(param, value[0] if option.endswith("_range") else value, name)
+            if option.endswith("_range") and value[1] < value[0]:
+                end = name.replace("start", "end")
+                raise InvalidParameter(f"{end} must be >= {value[0]}, got {value[1]}")
         if "n" in fields:
             if self.n_range is None or self.r_range is None:
                 raise InvalidParameter(f"{self.statement} requires --n and --r ranges")
@@ -195,9 +198,91 @@ def summarize(results):
     return record
 
 
+def _fork_map(cases, workers):
+    """evaluate_case over cases in workers forked processes, in expansion order.
+
+    The work unit is a head: a run of cases of equal (n, r, ns), which
+    share one q-Narayana row or one chain's terms.  A free worker takes the
+    next max(1, heads left // (4 * workers)) heads, so chunks shrink toward
+    the end of the sweep, and sends back their pairs as one pickled tuple.
+    Workers ignore Ctrl-C.  Leaving, by any exception too, kills and reaps
+    them; a worker that dies raises ChildProcessError.  Forked rather than
+    spawned, workers start with the cases and modules already loaded, so
+    the caller must run no other thread.
+    """
+    # Imported here, so that a command forking no worker does not pay for them.
+    import pickle
+    import select
+    import signal
+
+    keys = [(case.n, case.r, case.ns) for case in cases]
+    starts = [i for i in range(len(cases)) if i == 0 or keys[i] != keys[i - 1]] + [len(cases)]
+    heads = len(starts) - 1
+    results = [None] * len(cases)
+    pids, tasks, busy = [], {}, {}  # tasks: each worker's reply file -> its task pipe
+    next_head = 0
+
+    def assign(reply):
+        """Send the worker reading reply its next chunk of heads, if any are left."""
+        nonlocal next_head
+        if next_head < heads:
+            take = max(1, (heads - next_head) // (4 * workers))
+            busy[reply] = starts[next_head], starts[next_head + take]
+            next_head += take
+            os.write(tasks[reply], pickle.dumps(busy[reply]))
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            reply = os.fdopen(reply_r, "rb")
+            tasks[reply] = task_w
+            # Blocked, so that Ctrl-C lands neither before the child ignores
+            # it nor before the parent has recorded the child to kill.
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        signal.signal(signal.SIGINT, signal.SIG_IGN)
+                        task_in, reply_out = os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")
+                        while True:  # until the parent kills this worker
+                            lo, hi = pickle.load(task_in)
+                            pickle.dump(tuple(map(evaluate_case, cases[lo:hi])), reply_out)
+                            reply_out.flush()
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+                # Closed before the next fork, so that only this worker holds
+                # its reply pipe open and the pipe ends when the worker does.
+                os.close(task_r)
+                os.close(reply_w)
+            assign(reply)
+        while busy:
+            for reply in select.select(list(busy), [], [])[0]:
+                lo, hi = busy.pop(reply)
+                results[lo:hi] = pickle.load(reply)
+                assign(reply)
+    except (EOFError, pickle.UnpicklingError, BrokenPipeError):
+        # A reply pipe ended, or a task pipe lost its reader, before the sweep did.
+        raise ChildProcessError("a worker process died") from None
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reply, task_w in tasks.items():
+            reply.close()
+            os.close(task_w)
+    return results
+
+
 def run_sweep(spec, jobs=1):
     """Expand, evaluate, and package a Report.  Cases are spread over
-    min(jobs, cases, CPUs) worker processes when that is more than one.
+    min(jobs, cases, CPUs) forked worker processes when that is more than
+    one and the platform has os.fork, whole heads at a time (_fork_map);
+    otherwise they run in this process.
 
     Each case becomes its plain (outcome, record) pair where it is
     evaluated, so no quotient polynomial outlives its case.  Results keep
@@ -208,17 +293,9 @@ def run_sweep(spec, jobs=1):
     spec.validate()
     cases = spec.expand()
     start = time.perf_counter()
-    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    workers = min(jobs, len(cases), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers > 1:
-        # Imported here, so that a command forking no worker does not pay for
-        # importing the pool.
-        import multiprocessing
-        import signal
-
-        chunksize = max(1, len(cases) // (workers * 8))
-        # Workers ignore Ctrl-C; leaving the block, by KeyboardInterrupt too, terminates them.
-        with multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-            results = tuple(pool.imap(evaluate_case, cases, chunksize))
+        results = tuple(_fork_map(cases, workers))
     else:
         results = tuple(evaluate_case(case) for case in cases)
     wall = time.perf_counter() - start

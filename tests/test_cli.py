@@ -4,7 +4,6 @@ exit-code contract."""
 
 import io
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -313,8 +312,10 @@ class TestReports:
             assert emit_report(report, fmt, io.StringIO()) == 1
 
     def test_empty_sweep_is_valid(self):
+        # validate refuses every sweep that expands to nothing, so only a
+        # Report built by hand has no cases.
         spec = SweepSpec("thm12", n_range=(2, 1), r_range=(1, 1))
-        report = run_sweep(spec)
+        report = Report("0", spec.echo(), "2000-01-01T00:00:00Z", 0.0, ())
         assert summarize(report.results)["cases"] == 0
         assert emit_report(report, "csv", io.StringIO()) == 0
         assert render(report, "csv").splitlines() == [CSV_HEADER]
@@ -335,6 +336,25 @@ class TestDeterminism:
         parallel = run_sweep(
             SweepSpec("conj34", m_range=(1, 1), ni_max=3, f_suite=DEFAULT_F_SUITE), jobs=3
         )
+        for fmt in ("text", "jsonl", "csv"):
+            assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("thm11", n_range=(1, 4), r_range=(1, 2)),
+        SweepSpec("thm12", n_range=(1, 3), r_range=(1, 3)),
+        SweepSpec("gjz", m_range=(1, 2), ni_max=3),
+        SweepSpec("conj31", m_range=(1, 2), ni_max=3),
+        SweepSpec("conj32", n_range=(1, 3), r_range=(1, 3)),
+        SweepSpec("conj33", m_range=(1, 2), ni_max=3),
+        SweepSpec("conj34", m_range=(1, 2), ni_max=2, f_suite=DEFAULT_F_SUITE),
+    ], ids=lambda spec: spec.statement)
+    def test_forked_workers_equal_serial(self, spec, monkeypatch):
+        # Two workers even on a one-CPU host, so that whole heads, several j
+        # or f each, are split between forked processes.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=2)
+        assert len({(case.n, case.r, case.ns) for case in spec.expand()}) > 2
         for fmt in ("text", "jsonl", "csv"):
             assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
 
@@ -380,23 +400,15 @@ def test_sweep_results_are_plain_outcome_record_pairs(spec):
 class TestWorkers:
     @pytest.fixture
     def requested(self, monkeypatch):
-        """Worker counts asked of a stand-in pool that maps in this process."""
+        """Worker counts asked of a stand-in for the forking helper that maps
+        in this process."""
         requested = []
 
-        class SerialPool:
-            def __init__(self, processes, initializer=None, initargs=()):
-                requested.append(processes)
+        def serial_fork_map(cases, workers):
+            requested.append(workers)
+            return map(evaluate_case, cases)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(cli, "_fork_map", serial_fork_map)
         return requested
 
     def two_cases(self):
@@ -609,6 +621,9 @@ class TestCommandLine:
             (["verify", "conj31", "--ns", "1,x"], "argument --ns: invalid N1,N2,... value: '1,x'"),
             (["verify", "conj34", "--ns", "1", "--f-suite", "0,x"],
              "argument --f-suite: invalid F1;F2;... value: '0,x'"),
+            (["verify", "thm12", "--n", "5..1", "--r", "1"], "n range end must be >= 5, got 1"),
+            (["verify", "conj32", "--n", "1", "--r", "3..2"], "r range end must be >= 3, got 2"),
+            (["verify", "conj33", "--m", "2..1", "--ni-max", "2"], "m range end must be >= 2, got 1"),
         ],
     )
     def test_sweep_option_errors_exit_one(self, capsys, argv, message):
@@ -713,6 +728,30 @@ class TestCommandLine:
         with pytest.raises(ProcessLookupError):
             os.killpg(child.pid, 0)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                        reason="reads process state from /proc; --jobs 2 needs two CPUs")
+    def test_dead_worker_exits_one_and_leaves_no_process(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "qnarayana", "verify", "thm12", "--n", "1..30", "--r", "1..3",
+                "--format", "csv", "--jobs", "2"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                              start_new_session=True) as child:
+            try:
+                while len(workers := group_ignoring_sigint(child.pid)) < 2:
+                    assert child.poll() is None, child.stderr.read()
+                    time.sleep(0.01)
+                os.kill(workers[0], signal.SIGKILL)
+                # Bounded, so that a sweep left waiting for the lost work fails the test.
+                out, err = child.communicate(timeout=60)
+            finally:
+                if child.poll() is None:
+                    os.killpg(child.pid, signal.SIGKILL)
+        assert child.returncode == 1
+        assert out == b""
+        assert err.decode().splitlines() == ["qnarayana: error: a worker process died"]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
+
 
 def group_ignoring_sigint(pgid):
     """The processes of process group pgid whose SIGINT disposition is
@@ -734,7 +773,8 @@ def group_ignoring_sigint(pgid):
 def test_start_up_loads_no_pool_dataclasses_or_decimal():
     # A fresh interpreter, since this one's tests have imported all of them.
     code = ("import sys, qnarayana.cli; qnarayana.cli.build_parser();"
-            " print(*sorted({'dataclasses', 'concurrent.futures', 'multiprocessing', 'decimal'}"
+            " print(*sorted({'dataclasses', 'concurrent.futures', 'multiprocessing', 'decimal',"
+            " 'pickle', 'select'}"
             " & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
