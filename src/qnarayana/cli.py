@@ -201,34 +201,29 @@ def summarize(results):
 def _fork_map(cases, workers):
     """evaluate_case over cases in workers forked processes, in expansion order.
 
-    The work unit is a head: a run of cases of equal (n, r, ns), which
-    share one q-Narayana row or one chain's terms.  A free worker takes the
-    next max(1, heads left // (4 * workers)) heads, so chunks shrink toward
-    the end of the sweep, and sends back their pairs as one pickled tuple.
-    Workers ignore Ctrl-C.  Leaving, by any exception too, kills and reaps
-    them; a worker that dies raises ChildProcessError.  Forked rather than
-    spawned, workers start with the cases and modules already loaded, so
-    the caller must run no other thread.
+    A free worker takes the next len(cases) // (8 * workers) cases (at
+    least one) and sends back their pairs as one pickled tuple.  Workers
+    ignore Ctrl-C, and a worker whose parent is gone ends at its next read
+    or write.  Leaving, by any exception too, kills and reaps them; a worker
+    that dies raises ChildProcessError.  Forked rather than spawned, workers
+    start with the cases and modules already loaded, so the caller must run
+    no other thread.
     """
     # Imported here, so that a command forking no worker does not pay for them.
     import pickle
     import select
     import signal
 
-    keys = [(case.n, case.r, case.ns) for case in cases]
-    starts = [i for i in range(len(cases)) if i == 0 or keys[i] != keys[i - 1]] + [len(cases)]
-    heads = len(starts) - 1
+    size = max(1, len(cases) // (8 * workers))
+    chunks = iter(range(0, len(cases), size))
     results = [None] * len(cases)
     pids, tasks, busy = [], {}, {}  # tasks: each worker's reply file -> its task pipe
-    next_head = 0
 
     def assign(reply):
-        """Send the worker reading reply its next chunk of heads, if any are left."""
-        nonlocal next_head
-        if next_head < heads:
-            take = max(1, (heads - next_head) // (4 * workers))
-            busy[reply] = starts[next_head], starts[next_head + take]
-            next_head += take
+        """Send the worker reading reply its next chunk, if any is left."""
+        lo = next(chunks, None)
+        if lo is not None:
+            busy[reply] = lo, lo + size
             os.write(tasks[reply], pickle.dumps(busy[reply]))
 
     try:
@@ -245,8 +240,14 @@ def _fork_map(cases, workers):
                 if pid == 0:
                     try:
                         signal.signal(signal.SIGINT, signal.SIG_IGN)
+                        # Only the parent keeps a task pipe's write end or a
+                        # reply pipe's read end, so that once it is gone this
+                        # worker's read ends in EOFError, its write in BrokenPipeError.
+                        for parent_reply, parent_task in tasks.items():
+                            parent_reply.close()
+                            os.close(parent_task)
                         task_in, reply_out = os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")
-                        while True:  # until the parent kills this worker
+                        while True:  # until the parent kills this worker or is gone
                             lo, hi = pickle.load(task_in)
                             pickle.dump(tuple(map(evaluate_case, cases[lo:hi])), reply_out)
                             reply_out.flush()
@@ -281,7 +282,7 @@ def _fork_map(cases, workers):
 def run_sweep(spec, jobs=1):
     """Expand, evaluate, and package a Report.  Cases are spread over
     min(jobs, cases, CPUs) forked worker processes when that is more than
-    one and the platform has os.fork, whole heads at a time (_fork_map);
+    one and the platform has os.fork, in chunks of cases (_fork_map);
     otherwise they run in this process.
 
     Each case becomes its plain (outcome, record) pair where it is

@@ -315,6 +315,8 @@ class TestReports:
         # validate refuses every sweep that expands to nothing, so only a
         # Report built by hand has no cases.
         spec = SweepSpec("thm12", n_range=(2, 1), r_range=(1, 1))
+        with pytest.raises(InvalidParameter, match="n range end must be >= 2, got 1"):
+            run_sweep(spec)
         report = Report("0", spec.echo(), "2000-01-01T00:00:00Z", 0.0, ())
         assert summarize(report.results)["cases"] == 0
         assert emit_report(report, "csv", io.StringIO()) == 0
@@ -349,14 +351,24 @@ class TestDeterminism:
         SweepSpec("conj34", m_range=(1, 2), ni_max=2, f_suite=DEFAULT_F_SUITE),
     ], ids=lambda spec: spec.statement)
     def test_forked_workers_equal_serial(self, spec, monkeypatch):
-        # Two workers even on a one-CPU host, so that whole heads, several j
-        # or f each, are split between forked processes.
+        # Two workers even on a one-CPU host, so that heads of several j or
+        # f each are shared between forked processes.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         serial = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=2)
         assert len({(case.n, case.r, case.ns) for case in spec.expand()}) > 2
         for fmt in ("text", "jsonl", "csv"):
             assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
+
+    def test_one_head_sweep_uses_every_worker(self, monkeypatch):
+        # One (n, r) head of 40 j-cases; each forked worker tags its pairs.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "evaluate_case", lambda case: ("pass", {"pid": os.getpid()}))
+        report = run_sweep(SweepSpec("thm12", n_range=(2, 2), r_range=(20, 20)), jobs=2)
+        pids = {record["pid"] for _, record in report.results}
+        assert len(report.results) == 40
+        assert len(pids) == 2
+        assert os.getpid() not in pids
 
     def test_error_rows_built_in_workers(self):
         # 3**40 exceeds sys.maxsize, so cyclic_sum raises OverflowError at
@@ -751,6 +763,51 @@ class TestCommandLine:
         assert err.decode().splitlines() == ["qnarayana: error: a worker process died"]
         with pytest.raises(ProcessLookupError):
             os.killpg(child.pid, 0)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                        reason="reads process state from /proc; --jobs 2 needs two CPUs")
+    def test_workers_end_when_the_parent_is_killed(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "qnarayana", "verify", "thm12", "--n", "1..30", "--r", "1..3",
+                "--format", "csv", "--jobs", "2"]
+        with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+                              start_new_session=True) as child:
+            try:
+                while len(group_ignoring_sigint(child.pid)) < 2:
+                    assert child.poll() is None
+                    time.sleep(0.01)
+                # SIGTERM to the parent alone: Python raises nothing for it, so
+                # no finally of the parent's runs to kill the workers.
+                os.kill(child.pid, signal.SIGTERM)
+                child.wait(timeout=60)
+                # Bounded, so that a worker left waiting forever fails the test.
+                deadline = time.monotonic() + 60
+                while group_running(child.pid):
+                    assert time.monotonic() < deadline, "a worker outlived its parent"
+                    time.sleep(0.05)
+            finally:
+                try:
+                    os.killpg(child.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert child.returncode == -signal.SIGTERM
+
+
+def group_running(pgid):
+    """The processes of process group pgid that have not exited, read from
+    /proc.  An exited orphan may stay a zombie until a reaper outside the
+    group collects it, so zombies do not count."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            if entry.isdigit():
+                with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as stat:
+                    state, _ppid, group = stat.read().rsplit(")", 1)[1].split()[:3]
+                if int(group) == pgid and state != "Z":
+                    pids.append(int(entry))
+        except OSError:
+            continue  # the process has gone
+    return pids
 
 
 def group_ignoring_sigint(pgid):
