@@ -3,21 +3,23 @@
 
 Runs the standing byte-identity set with each checkout's ``src`` on the
 path, and diffs the outputs: the 21 default-sweep reports (seven statement
-ids in text, jsonl and csv); four sweeps under forked workers, ``verify gjz
---jobs 2``, ``verify conj33 --jobs 2 --format jsonl``, ``verify thm12 --jobs
-2 --format csv`` (heads of several j) and ``verify thm11 --jobs 2 --format
-jsonl`` (heads of one case); ``sum gjz --ns 12,9,12,9`` for j = 0..3, ``sum
-cyclic --ns 9,9 --f 0,-2,0,0,1`` and ``proof --n 12 --r 3 --j 5``.  Four
-more reach ratio paths of (1 - q^t) factors that those miss: ``qcatalan
-60`` (q_catalan's own ratio), ``qnarayana 61 30`` (the q-Narayana row),
-``proof --n 8 --r 4 --j 7`` (a cyclic modulus with repeated factors, at the
-last claimed j) and ``verify conj33 --m 1..2 --ni-max 3 --j-max 7`` (j
-beyond the claimed range, where quotients go negative).  Seven are sweeps
-the option checks refuse, each with its own message: ``verify thm12 --ns
-1``, ``verify conj31 --n 1..2``, ``verify conj31 --j-max 2``, ``verify gjz
---f-suite 0``, ``verify conj34 --ns 1 --ni-max 3``, ``verify thm12 --j-max
--1`` and ``verify thm12 --n 5..1 --r 1`` (a reversed range).  That is 42
-commands.
+ids in text, jsonl and csv); each id once more under forked workers,
+``verify gjz --jobs 2``, ``verify conj33 --jobs 2 --format jsonl``,
+``verify thm12 --jobs 2 --format csv`` (heads of several j), ``verify thm11
+--jobs 2 --format jsonl`` (heads of one case), ``verify conj31 --jobs 2
+--format jsonl``, ``verify conj32 --jobs 2 --format csv`` and ``verify
+conj34 --jobs 2 --format csv`` (heads of several f); ``sum gjz --ns
+12,9,12,9`` for j = 0..3, ``sum cyclic --ns 9,9 --f 0,-2,0,0,1`` and
+``proof --n 12 --r 3 --j 5``.  Four more reach ratio paths of (1 - q^t)
+factors that those miss: ``qcatalan 60`` (q_catalan's own ratio),
+``qnarayana 61 30`` (the q-Narayana row), ``proof --n 8 --r 4 --j 7`` (a
+cyclic modulus with repeated factors, at the last claimed j) and ``verify
+conj33 --m 1..2 --ni-max 3 --j-max 7`` (j beyond the claimed range, where
+quotients go negative).  Seven are sweeps the option checks refuse, each
+with its own message: ``verify thm12 --ns 1``, ``verify conj31 --n 1..2``,
+``verify conj31 --j-max 2``, ``verify gjz --f-suite 0``, ``verify conj34
+--ns 1 --ni-max 3``, ``verify thm12 --j-max -1`` and ``verify thm12 --n
+5..1 --r 1`` (a reversed range).  That is 45 commands.
 Each output is compared with its exit code and its stderr; the
 ``# generated:`` line and the jsonl meta line, which hold the timestamp
 and wall time, are removed first.
@@ -42,6 +44,9 @@ COMMANDS = [
     ["verify", "conj33", "--jobs", "2", "--format", "jsonl"],
     ["verify", "thm12", "--jobs", "2", "--format", "csv"],
     ["verify", "thm11", "--jobs", "2", "--format", "jsonl"],
+    ["verify", "conj31", "--jobs", "2", "--format", "jsonl"],
+    ["verify", "conj32", "--jobs", "2", "--format", "csv"],
+    ["verify", "conj34", "--jobs", "2", "--format", "csv"],
     *(["sum", "gjz", "--ns", "12,9,12,9", "--j", str(j)] for j in range(4)),
     ["sum", "cyclic", "--ns", "9,9", "--f", "0,-2,0,0,1"],
     ["proof", "--n", "12", "--r", "3", "--j", "5"],

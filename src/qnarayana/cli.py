@@ -201,37 +201,26 @@ def summarize(results):
 def _fork_map(cases, workers):
     """evaluate_case over cases in workers forked processes, in expansion order.
 
-    A free worker takes the next len(cases) // (8 * workers) cases (at
-    least one) and sends back their pairs as one pickled tuple.  Workers
-    ignore Ctrl-C, and a worker whose parent is gone ends at its next read
-    or write.  Leaving, by any exception too, kills and reaps them; a worker
-    that dies raises ChildProcessError.  Forked rather than spawned, workers
-    start with the cases and modules already loaded, so the caller must run
-    no other thread.
+    The cases go in chunks of len(cases) // (8 * workers) (at least one).
+    Worker w evaluates chunks w, w + workers, w + 2 * workers, ... in turn
+    and writes each to its own pipe as one pickled tuple of pairs; the caller
+    reads chunk i from worker i % workers.  Workers ignore Ctrl-C, and a
+    worker whose parent is gone ends at its next write.  Leaving, by any
+    exception too, kills and reaps them; a worker that dies raises
+    ChildProcessError.  Forked rather than spawned, workers start with the
+    cases and modules already loaded, so the caller must run no other thread.
     """
     # Imported here, so that a command forking no worker does not pay for them.
     import pickle
-    import select
     import signal
 
     size = max(1, len(cases) // (8 * workers))
-    chunks = iter(range(0, len(cases), size))
-    results = [None] * len(cases)
-    pids, tasks, busy = [], {}, {}  # tasks: each worker's reply file -> its task pipe
-
-    def assign(reply):
-        """Send the worker reading reply its next chunk, if any is left."""
-        lo = next(chunks, None)
-        if lo is not None:
-            busy[reply] = lo, lo + size
-            os.write(tasks[reply], pickle.dumps(busy[reply]))
-
+    chunks = range(0, len(cases), size)
+    pids, replies = [], []
     try:
-        for _ in range(workers):
-            task_r, task_w = os.pipe()
+        for worker in range(workers):
             reply_r, reply_w = os.pipe()
-            reply = os.fdopen(reply_r, "rb")
-            tasks[reply] = task_w
+            replies.append(os.fdopen(reply_r, "rb"))
             # Blocked, so that Ctrl-C lands neither before the child ignores
             # it nor before the parent has recorded the child to kill.
             signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -240,16 +229,14 @@ def _fork_map(cases, workers):
                 if pid == 0:
                     try:
                         signal.signal(signal.SIGINT, signal.SIG_IGN)
-                        # Only the parent keeps a task pipe's write end or a
-                        # reply pipe's read end, so that once it is gone this
-                        # worker's read ends in EOFError, its write in BrokenPipeError.
-                        for parent_reply, parent_task in tasks.items():
-                            parent_reply.close()
-                            os.close(parent_task)
-                        task_in, reply_out = os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")
-                        while True:  # until the parent kills this worker or is gone
-                            lo, hi = pickle.load(task_in)
-                            pickle.dump(tuple(map(evaluate_case, cases[lo:hi])), reply_out)
+                        # Only the parent keeps a reply pipe's read end, so
+                        # that once it is gone this worker's write ends in
+                        # BrokenPipeError.
+                        for reply in replies:
+                            reply.close()
+                        reply_out = os.fdopen(reply_w, "wb")
+                        for lo in chunks[worker::workers]:
+                            pickle.dump(tuple(map(evaluate_case, cases[lo:lo + size])), reply_out)
                             reply_out.flush()
                     finally:
                         os._exit(0)
@@ -258,32 +245,28 @@ def _fork_map(cases, workers):
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
                 # Closed before the next fork, so that only this worker holds
                 # its reply pipe open and the pipe ends when the worker does.
-                os.close(task_r)
                 os.close(reply_w)
-            assign(reply)
-        while busy:
-            for reply in select.select(list(busy), [], [])[0]:
-                lo, hi = busy.pop(reply)
-                results[lo:hi] = pickle.load(reply)
-                assign(reply)
-    except (EOFError, pickle.UnpicklingError, BrokenPipeError):
-        # A reply pipe ended, or a task pipe lost its reader, before the sweep did.
+        results = []
+        for chunk in range(len(chunks)):
+            results += pickle.load(replies[chunk % workers])
+    except (EOFError, pickle.UnpicklingError):
+        # A reply pipe ended before its worker's last chunk.
         raise ChildProcessError("a worker process died") from None
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for reply, task_w in tasks.items():
+        for reply in replies:
             reply.close()
-            os.close(task_w)
     return results
 
 
 def run_sweep(spec, jobs=1):
     """Expand, evaluate, and package a Report.  Cases are spread over
-    min(jobs, cases, CPUs) forked worker processes when that is more than
-    one and the platform has os.fork, in chunks of cases (_fork_map);
-    otherwise they run in this process.
+    min(jobs, cases, CPUs this process may run on) forked worker processes
+    when that is more than one and the platform has os.fork, in fixed
+    interleaved chunks of cases (_fork_map); otherwise they run in this
+    process.
 
     Each case becomes its plain (outcome, record) pair where it is
     evaluated, so no quotient polynomial outlives its case.  Results keep
@@ -294,7 +277,11 @@ def run_sweep(spec, jobs=1):
     spec.validate()
     cases = spec.expand()
     start = time.perf_counter()
-    workers = min(jobs, len(cases), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(cases), cpus) if hasattr(os, "fork") else 1
     if workers > 1:
         results = tuple(_fork_map(cases, workers))
     else:

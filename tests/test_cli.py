@@ -72,6 +72,11 @@ def stable_lines(text):
     ]
 
 
+def allow_cpus(monkeypatch, count):
+    """Let run_sweep see count CPUs that this process may run on."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 class TestSweepSpecExpansion:
     def test_pinned_count_and_order(self):
         spec = SweepSpec("thm12", n_range=(1, 3), r_range=(1, 2))
@@ -353,7 +358,7 @@ class TestDeterminism:
     def test_forked_workers_equal_serial(self, spec, monkeypatch):
         # Two workers even on a one-CPU host, so that heads of several j or
         # f each are shared between forked processes.
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         serial = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=2)
         assert len({(case.n, case.r, case.ns) for case in spec.expand()}) > 2
@@ -362,13 +367,40 @@ class TestDeterminism:
 
     def test_one_head_sweep_uses_every_worker(self, monkeypatch):
         # One (n, r) head of 40 j-cases; each forked worker tags its pairs.
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         monkeypatch.setattr(cli, "evaluate_case", lambda case: ("pass", {"pid": os.getpid()}))
         report = run_sweep(SweepSpec("thm12", n_range=(2, 2), r_range=(20, 20)), jobs=2)
         pids = {record["pid"] for _, record in report.results}
         assert len(report.results) == 40
         assert len(pids) == 2
         assert os.getpid() not in pids
+
+    def test_chunk_i_runs_in_worker_i_mod_workers(self, monkeypatch):
+        # 55 cases in chunks of 55 // 24 = 2, so 28 chunks, the last of one
+        # case: not a multiple of the 3 workers.
+        spec = SweepSpec("gjz", m_range=(1, 2), ni_max=5)
+        serial = run_sweep(spec, jobs=1)
+        allow_cpus(monkeypatch, 3)
+        fork, forked = os.fork, []
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def tagged(case):
+            kind, record = evaluate_case(case)
+            return kind, {**record, "pid": os.getpid()}
+
+        monkeypatch.setattr(cli.os, "fork", recording_fork)
+        monkeypatch.setattr(cli, "evaluate_case", tagged)
+        parallel = run_sweep(spec, jobs=3)
+        pids = [record.pop("pid") for _, record in parallel.results]
+        assert len(forked) == 3
+        assert pids == [forked[index // 2 % 3] for index in range(55)]
+        for fmt in ("text", "jsonl", "csv"):
+            assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
 
     def test_error_rows_built_in_workers(self):
         # 3**40 exceeds sys.maxsize, so cyclic_sum raises OverflowError at
@@ -427,13 +459,15 @@ class TestWorkers:
         return SweepSpec("thm12", n_range=(1, 1), r_range=(1, 1))
 
     def test_workers_bounded_by_cases(self, requested, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        allow_cpus(monkeypatch, 64)
         report = run_sweep(self.two_cases(), jobs=64)
         assert requested == [2]
         assert len(report.results) == 2
 
     def test_workers_bounded_by_cpus(self, requested, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        # One CPU this process may run on, however many the machine has.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        allow_cpus(monkeypatch, 1)
         run_sweep(self.two_cases(), jobs=64)
         assert requested == []
 
