@@ -15,11 +15,16 @@ factors that those miss: ``qcatalan 60`` (q_catalan's own ratio),
 ``qnarayana 61 30`` (the q-Narayana row), ``proof --n 8 --r 4 --j 7`` (a
 cyclic modulus with repeated factors, at the last claimed j) and ``verify
 conj33 --m 1..2 --ni-max 3 --j-max 7`` (j beyond the claimed range, where
-quotients go negative).  Seven are sweeps the option checks refuse, each
-with its own message: ``verify thm12 --ns 1``, ``verify conj31 --n 1..2``,
-``verify conj31 --j-max 2``, ``verify gjz --f-suite 0``, ``verify conj34
---ns 1 --ni-max 3``, ``verify thm12 --j-max -1`` and ``verify thm12 --n
-5..1 --r 1`` (a reversed range).  That is 45 commands.
+quotients go negative).  Two reach the values that classes of chains
+share: ``verify gjz --m 1..3 --ni-max 4 --j-max 5 --jobs 2 --format csv``
+(a chain and its reverse share each gjz value, at j beyond the claim too)
+and ``verify conj34 --m 3..3 --ni-max 3 --f-suite "0,0,0,1;0,-1,0,0,1"``
+(rotations share their per-k products but not their shifts).  Seven are
+sweeps the option checks refuse, each with its own message: ``verify thm12
+--ns 1``, ``verify conj31 --n 1..2``, ``verify conj31 --j-max 2``, ``verify
+gjz --f-suite 0``, ``verify conj34 --ns 1 --ni-max 3``, ``verify thm12
+--j-max -1`` and ``verify thm12 --n 5..1 --r 1`` (a reversed range).  That
+is 47 commands.
 Each output is compared with its exit code and its stderr; the
 ``# generated:`` line and the jsonl meta line, which hold the timestamp
 and wall time, are removed first.
@@ -54,6 +59,9 @@ COMMANDS = [
     ["qnarayana", "61", "30"],
     ["proof", "--n", "8", "--r", "4", "--j", "7"],
     ["verify", "conj33", "--m", "1..2", "--ni-max", "3", "--j-max", "7"],
+    ["verify", "gjz", "--m", "1..3", "--ni-max", "4", "--j-max", "5", "--jobs", "2",
+     "--format", "csv"],
+    ["verify", "conj34", "--m", "3..3", "--ni-max", "3", "--f-suite", "0,0,0,1;0,-1,0,0,1"],
     ["verify", "thm12", "--ns", "1"],
     ["verify", "conj31", "--n", "1..2"],
     ["verify", "conj31", "--j-max", "2"],

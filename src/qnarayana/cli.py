@@ -199,7 +199,7 @@ def summarize(results):
 
 
 def _fork_map(cases, workers):
-    """evaluate_case over cases in workers forked processes, in expansion order.
+    """evaluate_case over cases in workers forked processes, in the order given.
 
     The cases go in chunks of len(cases) // (8 * workers) (at least one).
     Worker w evaluates chunks w, w + workers, w + 2 * workers, ... in turn
@@ -262,30 +262,36 @@ def _fork_map(cases, workers):
 
 
 def run_sweep(spec, jobs=1):
-    """Expand, evaluate, and package a Report.  Cases are spread over
+    """Expand, evaluate, and package a Report.  Cases are evaluated in the
+    order the statement's order key gives (cases sharing cached work in a
+    row), or in expansion order without one.  They are spread over
     min(jobs, cases, CPUs this process may run on) forked worker processes
     when that is more than one and the platform has os.fork, in fixed
-    interleaved chunks of cases (_fork_map); otherwise they run in this
-    process.
+    interleaved chunks cut from that order (_fork_map); otherwise they run
+    in this process.
 
     Each case becomes its plain (outcome, record) pair where it is
-    evaluated, so no quotient polynomial outlives its case.  Results keep
-    expansion order, so the report is independent of the worker count.
+    evaluated, so no quotient polynomial outlives its case, and the pair is
+    put back at the case's expansion index: the report is independent of
+    the evaluation order and the worker count.
     """
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
     spec.validate()
     cases = spec.expand()
     start = time.perf_counter()
+    key = get_statement(spec.statement).order
+    order = sorted(range(len(cases)), key=lambda i: key(cases[i])) if key else range(len(cases))
+    ordered = [cases[i] for i in order]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     workers = min(jobs, len(cases), cpus) if hasattr(os, "fork") else 1
-    if workers > 1:
-        results = tuple(_fork_map(cases, workers))
-    else:
-        results = tuple(evaluate_case(case) for case in cases)
+    results = [None] * len(cases)
+    pairs = _fork_map(ordered, workers) if workers > 1 else map(evaluate_case, ordered)
+    for index, pair in zip(order, pairs):
+        results[index] = pair
     wall = time.perf_counter() - start
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return Report(
@@ -293,7 +299,7 @@ def run_sweep(spec, jobs=1):
         spec_echo=spec.echo(),
         timestamp=timestamp,
         wall_seconds=wall,
-        results=results,
+        results=tuple(results),
     )
 
 

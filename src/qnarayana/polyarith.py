@@ -24,10 +24,13 @@ use as the reference for the fast path.
 
 Every q-analogue built on this module is a ratio of factors (1 - q^t), so
 two one-pass kernels handle such a factor without a general product or long
-division: ``mul_one_minus_qt`` subtracts a shifted copy, and
-``div_one_minus_qt`` runs the recurrence c[i] += c[i-t] and checks that the
-top t coefficients vanish.  A ratio prod (1 - q^t)^e is one hashable value,
-its (t, e) pairs sorted by t with distinct t and e != 0, unique as distinct
+division, each in place on a list of coefficients: ``imul_one_minus_qt``
+subtracts a shifted copy, and ``idiv_one_minus_qt`` runs the recurrence
+c[i] += c[i-t] and checks that the top t coefficients vanish.  A chain of
+factors runs on one list, which becomes an ``IntPoly`` only when its value
+is returned; ``mul_one_minus_qt`` and ``div_one_minus_qt`` are the
+one-factor chains.  A ratio prod (1 - q^t)^e is one hashable value, its
+(t, e) pairs sorted by t with distinct t and e != 0, unique as distinct
 (1 - q^t) are multiplicatively independent.  ``factor_ratio`` builds it and
 is the one place factors cancel; ``mul_ratio`` applies it, every multiply
 first, and ``ratio_poly`` caches its polynomial.  ``sum_shifted`` adds many
@@ -39,7 +42,8 @@ The public ``IntPoly(...)`` constructor checks that every coefficient is an
 int.  Results of this module's own arithmetic (``+``, ``-``, ``*``,
 ``shift``, ``divmod_poly``, ``exact_div`` and the kernels above) are built
 by a trusted internal constructor that only trims: it may be given only
-ints produced by that arithmetic.
+ints produced by that arithmetic, which ``qobjects`` also uses for the lists
+its own chains of in-place kernels build.
 """
 
 from functools import cache
@@ -287,35 +291,49 @@ def exact_div(a, b):
     return quot
 
 
-def mul_one_minus_qt(a, t):
-    """a * (1 - q**t) for t >= 1, in one subtract pass."""
+def imul_one_minus_qt(c, t):
+    """c *= (1 - q**t) in place for t >= 1, c a list of coefficients: one
+    subtract pass over c extended by t zeros."""
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
-    cs = a.coeffs
-    out = [*cs, *(0,) * t]
-    out[t:] = map(sub, out[t:], cs)
-    return _trusted(out)
+    c += (0,) * t
+    c[t:] = map(sub, c[t:], c[:-t])
 
 
-def div_one_minus_qt(a, t):
-    """Exact quotient a / (1 - q**t) for t >= 1, in one add pass.
+def idiv_one_minus_qt(c, t):
+    """c /= (1 - q**t) in place, exactly, for t >= 1, c a list of
+    coefficients.
 
     The quotient's coefficients satisfy c[i] = a[i] + c[i-t], a running sum
     over each residue class of i mod t.  The last sum of each class is the
     class's coefficient of the remainder modulo 1 - q**t, and these sums
-    fill the top min(t, len(a)) positions; raises NotDivisible, carrying
+    fill the top min(t, len(c)) positions; raises NotDivisible, carrying
     that remainder, unless they are all zero.  Never truncates.
     """
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
-    c = list(a.coeffs)
     for s in range(min(t, len(c))):
         c[s::t] = accumulate(c[s::t])
     top = max(len(c) - t, 0)
     if any(c[top:]):
         rem = [c[top + (s - top) % t] for s in range(len(c) - top)]
         raise NotDivisible(f"nonzero remainder modulo 1 - q^{t}", remainder=_trusted(rem))
-    return _trusted(c[:top])
+    del c[top:]
+
+
+def mul_one_minus_qt(a, t):
+    """a * (1 - q**t) for t >= 1, in one subtract pass."""
+    c = list(a.coeffs)
+    imul_one_minus_qt(c, t)
+    return _trusted(c)
+
+
+def div_one_minus_qt(a, t):
+    """Exact quotient a / (1 - q**t) for t >= 1, in one add pass; raises
+    NotDivisible with the remainder modulo 1 - q**t unless it is zero."""
+    c = list(a.coeffs)
+    idiv_one_minus_qt(c, t)
+    return _trusted(c)
 
 
 def factor_ratio(pairs):
@@ -330,17 +348,18 @@ def factor_ratio(pairs):
 
 def mul_ratio(a, ratio):
     """a times a factor_ratio value: each multiply by (1 - q**t), e > 0,
-    first, then each exact division, e < 0, each in ascending t.  Each
-    factor is monic up to sign, so the divisions all succeed exactly when
-    the ratio's denominator divides, and give the same quotient; raises the
-    NotDivisible of the first division that fails."""
+    first, then each exact division, e < 0, each in ascending t, all on one
+    coefficient list.  Each factor is monic up to sign, so the divisions all
+    succeed exactly when the ratio's denominator divides, and give the same
+    quotient; raises the NotDivisible of the first division that fails."""
+    c = list(a.coeffs)
     for t, e in ratio:
         for _ in range(e):
-            a = mul_one_minus_qt(a, t)
+            imul_one_minus_qt(c, t)
     for t, e in ratio:
         for _ in range(-e):
-            a = div_one_minus_qt(a, t)
-    return a
+            idiv_one_minus_qt(c, t)
+    return _trusted(c)
 
 
 @cache

@@ -7,8 +7,9 @@ polynomials.  The classical integers themselves are computed separately over
 plain integers so the two routes can cross-check each other.
 
 Every object here is a ratio of factors (1 - q^t), and is built one factor
-at a time with the one-pass kernels ``mul_one_minus_qt`` and
-``div_one_minus_qt``.  Gaussian binomials use the product formula
+at a time on one coefficient list with the in-place kernels
+``imul_one_minus_qt`` and ``idiv_one_minus_qt``.  Gaussian binomials use
+the product formula
 
     qbinom(n, k) = prod_{t=1..k} (1 - q^(n-k+t)) / (1 - q^t),  k <= n - k,
 
@@ -18,10 +19,10 @@ polynomial, so every division is exact and a NotDivisible would be a bug.
 by the same argument.  Both take memory linear in the degree and no
 recursion; Pascal's recurrence, the q-shifted-factorial quotient and
 qbinom(n, k) * qbinom(n, k-1) / [n] are test oracles.  The Gaussian-binomial
-table is the one cache here, because sweep heads share its entries (see
-``sums`` for the rule).  It holds only immutable values, so every caller
-can share an entry; the worker processes of a parallel sweep each build
-their own.
+table is the one cache here, because cases of many classes share its
+entries (see ``sums`` for the rule).  It holds only immutable values, so
+every caller can share an entry; the worker processes of a parallel sweep
+each build their own.
 """
 
 from functools import cache
@@ -29,7 +30,16 @@ from itertools import islice
 from math import comb
 
 from .errors import InvalidParameter
-from .polyarith import ONE, ZERO, IntPoly, div_one_minus_qt, is_nonneg, mul_one_minus_qt, mul_ratio
+from .polyarith import (
+    ONE,
+    ZERO,
+    IntPoly,
+    _trusted,
+    idiv_one_minus_qt,
+    imul_one_minus_qt,
+    is_nonneg,
+    mul_ratio,
+)
 
 
 def q_integer(n):
@@ -61,10 +71,11 @@ def q_binomial(n, k):
 
 @cache
 def _qbinom(n, k):
-    value = ONE
+    c = [1]
     for t in range(1, k + 1):
-        value = div_one_minus_qt(mul_one_minus_qt(value, n - k + t), t)
-    return value
+        imul_one_minus_qt(c, n - k + t)
+        idiv_one_minus_qt(c, t)
+    return _trusted(c)
 
 
 def q_narayana(n, k):
@@ -84,19 +95,20 @@ def narayana_powers(n, r):
     ((1 - q^i)(1 - q^(i+1))), its common factors cancelled.  After s steps
     the power is q_narayana(n, i)**(r-s) * q_narayana(n, i+1)**s, so each
     division is exact; each power is asserted nonnegative, never assumed.
-    One factor is applied at a time, so only two powers are alive at once."""
-    power = q_narayana(n, 1)
+    One factor is applied at a time, in place on one coefficient list, which
+    becomes a polynomial as each power is yielded."""
+    c = list(q_narayana(n, 1).coeffs)
     for i in range(1, n + 1):
+        power = _trusted(c)
         if not is_nonneg(power):
             raise ArithmeticError(f"q_narayana({n}, {i}) has a negative coefficient")
         yield power
         above, below = {n - i, n - i + 1}, {i, i + 1}
-        # Not mul_ratio: this frame would hold the old power while it built the next.
         for _ in range(r if i < n else 0):
             for t in above - below:
-                power = mul_one_minus_qt(power, t)
+                imul_one_minus_qt(c, t)
             for t in below - above:
-                power = div_one_minus_qt(power, t)
+                idiv_one_minus_qt(c, t)
 
 
 def q_catalan(n):

@@ -18,12 +18,17 @@ at a time.  ``_binomial_factors`` is the one definition of a product of
 Gaussian binomials as such factors.  A chain family gives only its pairs
 (a, b) for each k, and ``_chain_terms`` derives its terms from them.
 
-A value is cached only where a sweep reads it twice.  A sweep takes one head
-(one n and r, or one chain) at a time, with all its j or f in a row, so
-each family keeps its last head in a one-entry cache: the per-k binomial
-products of a chain, or the r-th powers of the q-Narayana row at (n, r).
-Only ``qobjects._qbinom`` and ``polyarith.ratio_poly`` are read across
-heads, and kept for the process.
+A value is cached only where a sweep reads it twice, in a one-entry cache
+keyed by the class of cases that share it: the r-th powers of the
+q-Narayana row by (n, r); the gjz per-k products by the multiset of ns, and
+their sum at j by (multiset, j); the gjz value by (the lesser of ns and its
+reverse, j); the cyclic per-k products by the least rotation of ns.  Only
+products are shared across rotations, never sums, as a cyclic sum's shift
+depends on n1.  ``gjz_order`` and ``least_rotation`` also key a sweep's
+evaluation order (see ``verify.Statement``), which puts the cases of one
+class in a row; the n/r sweeps already run each (n, r) in a row.  Only
+``qobjects._qbinom`` and ``polyarith.ratio_poly`` are read across classes,
+and kept for the process.
 
 When f makes some exponent f(k) + k(k-1)/2 in the window negative, the
 whole sum is multiplied by the smallest power of q clearing them all,
@@ -125,11 +130,22 @@ def _chain_terms(n1, pairs):
     return tuple(terms)
 
 
+def least_rotation(ns):
+    """The least rotation of a chain, the key of the cyclic products and of
+    the evaluation order of the cyclic statements' sweeps."""
+    return min(ns[i:] + ns[:i] for i in range(len(ns)))
+
+
 @lru_cache(maxsize=1)
-def _cyclic_products(ns):
-    """The signed per-k products of cyclic_sum for one chain."""
-    links = list(zip(ns, ns[1:] + ns[:1]))
-    return _chain_terms(ns[0], lambda k: [(a + b + 1, a + k + d) for a, b in links for d in (0, 1)])
+def _cyclic_products(necklace):
+    """The signed per-k products of cyclic_sum, equal for every rotation of
+    a chain: each is a product over the links (ni, n_next), which a rotation
+    only reorders, and is nonzero only where -min(ns) <= k <= min(ns), inside
+    every rotation's window.  necklace is the least rotation, so it starts
+    at min(ns)."""
+    links = list(zip(necklace, necklace[1:] + necklace[:1]))
+    return _chain_terms(necklace[0],
+                        lambda k: [(a + b + 1, a + k + d) for a, b in links for d in (0, 1)])
 
 
 def cyclic_sum(ns, f):
@@ -146,7 +162,7 @@ def cyclic_sum(ns, f):
     n1 = ns[0]
     exponents = [eval_int(f, k) + binom2(k) for k in range(-n1, n1 + 1)]
     shift = max(0, -min(exponents))
-    terms = ((exponents[k + n1] + shift, prod) for k, prod in _cyclic_products(ns))
+    terms = ((exponents[k + n1] + shift, prod) for k, prod in _cyclic_products(least_rotation(ns)))
     return NormalizedSum(sum_shifted(terms), shift)
 
 
@@ -164,16 +180,50 @@ def cyclic_modulus_factors(ns):
     return _binomial_factors(pairs)
 
 
+def _multiset(ns):
+    """A chain's indices in ascending order, the key of the gjz terms."""
+    return tuple(sorted(ns))
+
+
+def _reversal_class(ns):
+    """The lesser of a chain and its reverse, the key of the gjz values."""
+    return min(ns, ns[::-1])
+
+
+def gjz_order(ns, j):
+    """The key of a gjz case in a sweep's evaluation order: its multiset,
+    then j, then its reversal class, so that each cache below meets its key
+    in one run of cases."""
+    return _multiset(ns), j, _reversal_class(ns)
+
+
 @lru_cache(maxsize=1)
-def _gjz_chain(ns):
-    """The j-independent parts of gjz_sum for one chain: its signed per-k
-    products, and its prefactor (q;q)_{n1} prod (q;q)_{ni + n_next} / prod
-    (q;q)_{2*ni} as a factor_ratio value, (q;q)_n being the product of
+def _gjz_terms(multiset):
+    """The signed per-k products of qbinom(2*ni, ni + k) over a chain, which
+    depend only on its multiset: a product is nonzero only where |k| <=
+    min(ns) <= n1, and the multiset starts at min(ns)."""
+    return _chain_terms(multiset[0], lambda k: [(2 * ni, ni + k) for ni in multiset])
+
+
+@lru_cache(maxsize=1)
+def _gjz_jsum(multiset, j):
+    """The signed sum of the gjz terms of a multiset at j, before the
+    prefactor."""
+    return sum_shifted((j * k * k + binom2(k), prod) for k, prod in _gjz_terms(multiset))
+
+
+@lru_cache(maxsize=1)
+def _gjz_value(ns, j):
+    """gjz_sum(ns, j), equal for ns and its reverse: the j-sum depends only
+    on the multiset, and the prefactor's factorials (q;q)_{n1} and
+    (q;q)_{n_last + 0} trade places under reversal while the inner pairs
+    (ni, n_next) only reorder.  The prefactor is (q;q)_{n1} prod
+    (q;q)_{ni + n_next} / prod (q;q)_{2*ni}, (q;q)_n being the product of
     (1 - q^t) over 1 <= t <= n."""
-    terms = _chain_terms(ns[0], lambda k: [(2 * ni, ni + k) for ni in ns])
     factorials = [(ns[0], 1), *((a + b, 1) for a, b in zip(ns, ns[1:] + (0,))),
                   *((2 * ni, -1) for ni in ns)]
-    return terms, factor_ratio((t, e) for n, e in factorials for t in range(1, n + 1))
+    prefactor = factor_ratio((t, e) for n, e in factorials for t in range(1, n + 1))
+    return mul_ratio(_gjz_jsum(_multiset(ns), j), prefactor)
 
 
 def gjz_sum(ns, j):
@@ -188,6 +238,4 @@ def gjz_sum(ns, j):
     """
     ns = validated_ns(ns)
     check_bound("j", j)
-    terms, prefactor = _gjz_chain(ns)
-    total = sum_shifted((j * k * k + binom2(k), prod) for k, prod in terms)
-    return mul_ratio(total, prefactor)
+    return _gjz_value(_reversal_class(ns), j)

@@ -32,7 +32,9 @@ from .sums import (
     cyclic_modulus,
     cyclic_modulus_factors,
     cyclic_sum,
+    gjz_order,
     gjz_sum,
+    least_rotation,
     thm12_sum,
     validated_ns,
 )
@@ -229,8 +231,16 @@ def _verify_gjz(case):
     return Verdict(case, poly.degree, 0, poly)
 
 
-class Statement(namedtuple("Statement", "kind claim fields j_scale ranges build f_suite",
-                           defaults=(None,))):
+def _gjz_order(case):
+    return gjz_order(case.ns, case.j)
+
+
+def _rotation_order(case):
+    return least_rotation(case.ns)
+
+
+class Statement(namedtuple("Statement", "kind claim fields j_scale ranges build f_suite order",
+                           defaults=(None, None))):
     """Everything that distinguishes one statement id.
 
     kind is "theorem" (a failed claim is an implementation bug) or
@@ -243,6 +253,9 @@ class Statement(namedtuple("Statement", "kind claim fields j_scale ranges build 
     ranges are the default verify sweep bounds, used when no --ns is given,
     and f_suite the default exponent polynomials for a statement taking f.
     build turns a validated CaseSpec into its Verdict.
+    order, when given, maps a case to its key in a sweep's evaluation order,
+    which puts the cases that share cached work in sums next to each other;
+    without it a sweep evaluates its cases in expansion order.
     """
 
     __slots__ = ()
@@ -260,15 +273,16 @@ STATEMENTS = {
     "thm12": Statement("theorem", "divisible", ("n", "r", "j"), 2,
                        {"n_range": (1, 10), "r_range": (1, 3)}, _verify_narayana_power),
     "gjz": Statement("theorem", "nonneg_poly", ("j", "ns"), 1,
-                     {"m_range": (1, 4), "ni_max": 5}, _verify_gjz),
+                     {"m_range": (1, 4), "ni_max": 5}, _verify_gjz, order=_gjz_order),
     "conj31": Statement("conjecture", "divisible", ("ns",), None,
-                        {"m_range": (1, 3), "ni_max": 6}, _verify_conj31),
+                        {"m_range": (1, 3), "ni_max": 6}, _verify_conj31, order=_rotation_order),
     "conj32": Statement("conjecture", "nonneg_quotient", ("n", "r", "j"), 2,
                         {"n_range": (1, 8), "r_range": (1, 3)}, _verify_narayana_power),
     "conj33": Statement("conjecture", "nonneg_quotient", ("j", "ns"), 2,
-                        {"m_range": (1, 3), "ni_max": 4}, _verify_cyclic),
+                        {"m_range": (1, 3), "ni_max": 4}, _verify_cyclic, order=_rotation_order),
     "conj34": Statement("conjecture", "divisible", ("ns", "f"), None,
-                        {"m_range": (1, 2), "ni_max": 5}, _verify_cyclic, DEFAULT_F_SUITE),
+                        {"m_range": (1, 2), "ni_max": 5}, _verify_cyclic, DEFAULT_F_SUITE,
+                        order=_rotation_order),
 }
 
 

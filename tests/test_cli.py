@@ -72,6 +72,14 @@ def stable_lines(text):
     ]
 
 
+# The subprocess tests of --jobs 2 need two workers, so two CPUs this process
+# may run on, which run_sweep counts with os.sched_getaffinity: under
+# `taskset -c 0` a sweep forks none however many CPUs the machine has.
+two_workers = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="reads process state from /proc; --jobs 2 needs two CPUs this process may run on")
+
+
 def allow_cpus(monkeypatch, count):
     """Let run_sweep see count CPUs that this process may run on."""
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
@@ -377,8 +385,13 @@ class TestDeterminism:
 
     def test_chunk_i_runs_in_worker_i_mod_workers(self, monkeypatch):
         # 55 cases in chunks of 55 // 24 = 2, so 28 chunks, the last of one
-        # case: not a multiple of the 3 workers.
+        # case: not a multiple of the 3 workers.  Chunks are cut from the
+        # evaluation order, so the case at position p of that order runs in
+        # worker p // 2 % 3, and its pair lands at its expansion index.
         spec = SweepSpec("gjz", m_range=(1, 2), ni_max=5)
+        cases = spec.expand()
+        order = sorted(range(55), key=lambda i: STATEMENTS["gjz"].order(cases[i]))
+        assert order != list(range(55))
         serial = run_sweep(spec, jobs=1)
         allow_cpus(monkeypatch, 3)
         fork, forked = os.fork, []
@@ -398,7 +411,7 @@ class TestDeterminism:
         parallel = run_sweep(spec, jobs=3)
         pids = [record.pop("pid") for _, record in parallel.results]
         assert len(forked) == 3
-        assert pids == [forked[index // 2 % 3] for index in range(55)]
+        assert [pids[index] for index in order] == [forked[p // 2 % 3] for p in range(55)]
         for fmt in ("text", "jsonl", "csv"):
             assert stable_lines(render(serial, fmt)) == stable_lines(render(parallel, fmt))
 
@@ -749,8 +762,7 @@ class TestCommandLine:
         assert capsys.readouterr().err == ""
         assert target.read_text() == "earlier output\n"
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
-                        reason="reads process state from /proc; --jobs 2 needs two CPUs")
+    @two_workers
     def test_interrupted_pool_sweep_exits_130_and_leaves_no_worker(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         argv = [sys.executable, "-m", "qnarayana", "verify", "thm12", "--n", "1..40", "--r", "1..3",
@@ -774,8 +786,7 @@ class TestCommandLine:
         with pytest.raises(ProcessLookupError):
             os.killpg(child.pid, 0)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
-                        reason="reads process state from /proc; --jobs 2 needs two CPUs")
+    @two_workers
     def test_dead_worker_exits_one_and_leaves_no_process(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         argv = [sys.executable, "-m", "qnarayana", "verify", "thm12", "--n", "1..30", "--r", "1..3",
@@ -798,8 +809,7 @@ class TestCommandLine:
         with pytest.raises(ProcessLookupError):
             os.killpg(child.pid, 0)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
-                        reason="reads process state from /proc; --jobs 2 needs two CPUs")
+    @two_workers
     def test_workers_end_when_the_parent_is_killed(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         argv = [sys.executable, "-m", "qnarayana", "verify", "thm12", "--n", "1..30", "--r", "1..3",

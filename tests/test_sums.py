@@ -212,6 +212,11 @@ class TestThm12Sum:
                     assert thm12_sum(n, r, j) == thm12_sum_reversed(n, r, j)
 
 
+def clear_chain_caches():
+    for cached in (sums._cyclic_products, sums._gjz_terms, sums._gjz_jsum, sums._gjz_value):
+        cached.cache_clear()
+
+
 class TestNoGeneralMultiply:
     """q_narayana and thm12_sum step along the q-Narayana row, and the chain
     sums along k, one ratio of (1 - q^t) factors at a time: no sum builder
@@ -233,8 +238,8 @@ class TestNoGeneralMultiply:
             raise AssertionError("IntPoly.__mul__ called")
 
         monkeypatch.setattr(IntPoly, "__mul__", forbidden)
-        for cached in (sums._narayana_row, sums._cyclic_products, sums._gjz_chain):
-            cached.cache_clear()
+        sums._narayana_row.cache_clear()
+        clear_chain_caches()
         actual = q_narayana(61, 30), [thm12_sum(*case) for case in self.CASES], self.chain_outputs()
         assert actual == expected
 
@@ -242,15 +247,28 @@ class TestNoGeneralMultiply:
 class TestChainTerms:
     """The chain sums' per-k products, stepped along k by (1 - q^t) ratios,
     equal the q-binomials multiplied together, window included: uneven
-    chains such as (5, 1, 3) have fewer nonzero terms than -n1..n1."""
+    chains such as (5, 1, 3) have fewer nonzero terms than -n1..n1.  They
+    are built once per class of chains, so every chain's own products must
+    equal its class's: the gjz terms of its multiset, which every
+    permutation shares, and the cyclic products of its least rotation,
+    which every rotation shares."""
 
-    CHAINS = [*(ns for m in (1, 2, 3) for ns in itertools.product(range(1, 6), repeat=m)),
-              *itertools.product(range(1, 4), repeat=4)]
+    SHORT = [ns for m in (1, 2, 3) for ns in itertools.product(range(1, 6), repeat=m)]
+    CHAINS = [*SHORT, *itertools.product(range(1, 4), repeat=4)]
 
     def test_match_the_multiplied_binomials(self):
         for ns in self.CHAINS:
-            assert sums._cyclic_products(ns) == cyclic_products_by_multiply(ns), ns
-            assert sums._gjz_chain(ns)[0] == gjz_products_by_multiply(ns), ns
+            clear_chain_caches()
+            necklace, multiset = sums.least_rotation(ns), sums._multiset(ns)
+            assert sums._cyclic_products(necklace) == cyclic_products_by_multiply(ns), ns
+            assert sums._gjz_terms(multiset) == gjz_products_by_multiply(ns), ns
+
+    def test_gjz_sum_equals_the_sum_of_its_reverse(self):
+        # One j past the claimed range too.
+        for ns in self.SHORT:
+            for j in range(len(ns) + 1):
+                clear_chain_caches()
+                assert gjz_sum(ns, j) == gjz_sum_long_division(ns[::-1], j), (ns, j)
 
 
 class TestCyclicSum:

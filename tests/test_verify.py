@@ -148,6 +148,14 @@ class TestCheckDivisibility:
         assert ratio_poly.cache_info().misses == len(moduli) == 73
 
 
+def package_caches():
+    """Every cached function in the package's modules."""
+    for info in pkgutil.iter_modules(qnarayana.__path__):
+        importlib.import_module(f"qnarayana.{info.name}")
+    return {fn for name, module in sys.modules.items() if name.partition(".")[0] == "qnarayana"
+            for fn in vars(module).values() if hasattr(fn, "cache_info")}
+
+
 def test_every_cache_is_read_twice(capsys):
     """The package caches exactly these functions, and a small sweep reads
     each of them again: a cache nothing re-reads is only memory."""
@@ -156,18 +164,41 @@ def test_every_cache_is_read_twice(capsys):
         "ratio_poly": ["conj33", "--m", "1..2", "--ni-max", "2"],
         "_narayana_row": ["thm12", "--n", "1..2", "--r", "1..2"],
         "_cyclic_products": ["conj33", "--m", "1..2", "--ni-max", "2"],
-        "_gjz_chain": ["gjz", "--m", "1..2", "--ni-max", "3"],
+        "_gjz_terms": ["gjz", "--m", "1..2", "--ni-max", "3"],
+        "_gjz_jsum": ["gjz", "--m", "1..3", "--ni-max", "2"],
+        "_gjz_value": ["gjz", "--m", "1..2", "--ni-max", "3"],
     }
-    for info in pkgutil.iter_modules(qnarayana.__path__):
-        importlib.import_module(f"qnarayana.{info.name}")
-    cached = {fn for name, module in sys.modules.items() if name.partition(".")[0] == "qnarayana"
-              for fn in vars(module).values() if hasattr(fn, "cache_info")}
+    cached = package_caches()
     assert sorted(fn.__name__ for fn in cached) == sorted(sweeps)
     for fn in cached:
         fn.cache_clear()
         main(["verify", *sweeps[fn.__name__], "--format", "csv"])
         capsys.readouterr()
         assert fn.cache_info().hits >= 1, fn.__name__
+
+
+def test_class_caches_hold_one_entry():
+    """Only the q-binomial table and ratio_poly are kept for the process;
+    every other cache holds its last key alone."""
+    kept, caches = {qobjects._qbinom, ratio_poly}, package_caches()
+    assert kept < caches
+    for fn in caches - kept:
+        assert fn.cache_info().maxsize == 1, fn.__name__
+
+
+@pytest.mark.parametrize("statement", ["gjz", "conj31", "conj33", "conj34"])
+def test_evaluation_order_does_not_change_results(statement):
+    """A default chain sweep, evaluated in its statement's order with the
+    class caches shared between cases, gives each case the pair that
+    evaluate_case gives it in expansion order with every cache cleared."""
+    defaults = STATEMENTS[statement]
+    spec = cli.SweepSpec(statement, f_suite=defaults.f_suite, **defaults.ranges)
+    caches, expected = package_caches(), []
+    for case in spec.expand():
+        for fn in caches:
+            fn.cache_clear()
+        expected.append(cli.evaluate_case(case))
+    assert cli.run_sweep(spec).results == tuple(expected)
 
 
 class TestNoLongDivision:
