@@ -28,22 +28,23 @@ division, each in place on a list of coefficients: ``imul_one_minus_qt``
 subtracts a shifted copy, and ``idiv_one_minus_qt`` runs the recurrence
 c[i] += c[i-t] and checks that the top t coefficients vanish.  A chain of
 factors runs on one list, which becomes an ``IntPoly`` only when its value
-is returned; ``mul_one_minus_qt`` and ``div_one_minus_qt`` are the
-one-factor chains.  A ratio prod (1 - q^t)^e is one hashable value, its
-(t, e) pairs sorted by t with distinct t and e != 0, unique as distinct
-(1 - q^t) are multiplicatively independent.  ``factor_ratio`` builds it and
-is the one place factors cancel; ``mul_ratio`` applies it, every multiply
-first, and ``ratio_poly`` caches its polynomial.  ``sum_shifted`` adds many
-shifted polynomials into one coefficient list.  Long division
-(``divmod_poly``, ``exact_div``) is left to ``gcd_bezout``, which needs a
-true remainder, and to the tests as the reference for these kernels.
+is returned.  A ratio prod (1 - q^t)^e is one hashable value, its (t, e)
+pairs sorted by t with distinct t and e != 0, unique as distinct (1 - q^t)
+are multiplicatively independent.  ``factor_ratio`` builds it and is the one
+place factors cancel; ``mul_ratio`` applies it, every multiply first, and is
+the one entry point for a polynomial times a ratio, a single factor being
+the ratio ((t, 1),) or ((t, -1),); ``ratio_poly`` caches its polynomial.
+``sum_shifted`` adds many polynomials times powers of q into one
+coefficient list.  Long division (``divmod_poly``, ``exact_div``) is left
+to ``gcd_bezout``, which needs a true remainder, and to the tests as the
+reference for these kernels.
 
 The public ``IntPoly(...)`` constructor checks that every coefficient is an
 int.  Results of this module's own arithmetic (``+``, ``-``, ``*``,
-``shift``, ``divmod_poly``, ``exact_div`` and the kernels above) are built
-by a trusted internal constructor that only trims: it may be given only
-ints produced by that arithmetic, which ``qobjects`` also uses for the lists
-its own chains of in-place kernels build.
+``divmod_poly``, ``exact_div`` and the kernels above) are built by a trusted
+internal constructor that only trims: it may be given only ints produced by
+that arithmetic, which ``qobjects`` also uses for the lists its own chains
+of in-place kernels build.
 """
 
 from functools import cache
@@ -140,14 +141,6 @@ class IntPoly:
         for _ in range(exponent):
             result = result * self
         return result
-
-    def shift(self, n):
-        """Multiply by q**n (n >= 0)."""
-        if n < 0:
-            raise InvalidParameter(f"shift must be >= 0, got {n}")
-        if not self.coeffs:
-            return ZERO
-        return _trusted((0,) * n + self.coeffs)
 
     def __str__(self):
         """Descending powers, such as "-q^3 + 2*q + 1": the form every
@@ -319,21 +312,6 @@ def idiv_one_minus_qt(c, t):
         rem = [c[top + (s - top) % t] for s in range(len(c) - top)]
         raise NotDivisible(f"nonzero remainder modulo 1 - q^{t}", remainder=_trusted(rem))
     del c[top:]
-
-
-def mul_one_minus_qt(a, t):
-    """a * (1 - q**t) for t >= 1, in one subtract pass."""
-    c = list(a.coeffs)
-    imul_one_minus_qt(c, t)
-    return _trusted(c)
-
-
-def div_one_minus_qt(a, t):
-    """Exact quotient a / (1 - q**t) for t >= 1, in one add pass; raises
-    NotDivisible with the remainder modulo 1 - q**t unless it is zero."""
-    c = list(a.coeffs)
-    idiv_one_minus_qt(c, t)
-    return _trusted(c)
 
 
 def factor_ratio(pairs):

@@ -19,10 +19,10 @@ polynomial, so every division is exact and a NotDivisible would be a bug.
 by the same argument.  Both take memory linear in the degree and no
 recursion; Pascal's recurrence, the q-shifted-factorial quotient and
 qbinom(n, k) * qbinom(n, k-1) / [n] are test oracles.  The Gaussian-binomial
-table is the one cache here, because cases of many classes share its
-entries (see ``sums`` for the rule).  It holds only immutable values, so
-every caller can share an entry; the worker processes of a parallel sweep
-each build their own.
+table is the one cache here.  No sweep reads it, as ``sums`` builds each
+chain term from its factors; it serves single values (``qbinom``,
+``qcatalan``) and library callers.  It holds only immutable values, so
+every caller can share an entry.
 """
 
 from functools import cache

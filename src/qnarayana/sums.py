@@ -27,8 +27,9 @@ products are shared across rotations, never sums, as a cyclic sum's shift
 depends on n1.  ``gjz_order`` and ``least_rotation`` also key a sweep's
 evaluation order (see ``verify.Statement``), which puts the cases of one
 class in a row; the n/r sweeps already run each (n, r) in a row.  Only
-``qobjects._qbinom`` and ``polyarith.ratio_poly`` are read across classes,
-and kept for the process.
+``polyarith.ratio_poly`` is read across classes, and kept for the process;
+no sum reads the q-binomial table, as every term is built from ONE by its
+factors.
 
 When f makes some exponent f(k) + k(k-1)/2 in the window negative, the
 whole sum is multiplied by the smallest power of q clearing them all,
@@ -41,8 +42,8 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import InvalidParameter
-from .polyarith import eval_int, factor_ratio, mul_ratio, ratio_poly, sum_shifted
-from .qobjects import narayana_powers, q_binomial
+from .polyarith import ONE, eval_int, factor_ratio, mul_ratio, ratio_poly, sum_shifted
+from .qobjects import narayana_powers
 
 
 def binom2(k):
@@ -113,19 +114,20 @@ def _binomial_factors(pairs):
 def _chain_terms(n1, pairs):
     """(k, (-1)^k * the product of qbinom(a, b) over pairs(k)) for each k in
     -n1..n1 where every 0 <= b <= a, an interval as each b rises by one with
-    k.  The first term is its first pair's q_binomial times the other pairs'
-    _binomial_factors.  Along k every a is fixed and every b rises by one, so
-    each later term is the one before times the product over its pairs of
-    qbinom(a, b) / qbinom(a, b-1) = (1 - q^(a-b+1)) / (1 - q^b)."""
-    terms = []
+    k.  The first term is ONE times the _binomial_factors of all its pairs.
+    Along k every a is fixed and every b rises by one, so each later term is
+    the one before times the product over its pairs of qbinom(a, b) /
+    qbinom(a, b-1) = (1 - q^(a-b+1)) / (1 - q^b).  Both are one mul_ratio
+    on the running product."""
+    terms, prod = [], ONE
     for k in range(-n1, n1 + 1):
         factors = pairs(k)
         if all(0 <= b <= a for a, b in factors):
             if terms:
-                step = (p for a, b in factors for p in ((a - b + 1, 1), (b, -1)))
-                prod = mul_ratio(prod, factor_ratio(step))
+                ratio = factor_ratio(p for a, b in factors for p in ((a - b + 1, 1), (b, -1)))
             else:
-                prod = mul_ratio(q_binomial(*factors[0]), _binomial_factors(factors[1:]))
+                ratio = _binomial_factors(factors)
+            prod = mul_ratio(prod, ratio)
             terms.append((k, -prod if k % 2 else prod))
     return tuple(terms)
 

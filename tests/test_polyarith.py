@@ -16,15 +16,15 @@ from qnarayana.polyarith import (
     Q,
     ZERO,
     IntPoly,
-    div_one_minus_qt,
     divmod_poly,
     eval_int,
     exact_div,
     factor_ratio,
     gcd_bezout,
+    idiv_one_minus_qt,
+    imul_one_minus_qt,
     int_text,
     is_nonneg,
-    mul_one_minus_qt,
     mul_ratio,
     mul_schoolbook,
     sum_shifted,
@@ -57,7 +57,7 @@ factor_ts = st.integers(min_value=1, max_value=80)
 
 
 def one_minus_qt(t):
-    return ONE - ONE.shift(t)
+    return ONE - Q**t
 
 
 def division_outcome(divide, a, t):
@@ -103,12 +103,6 @@ class TestConstruction:
         assert (a + (-a)).coeffs == ()
         assert ZERO.coeffs == ()
         assert (IntPoly((1, 2, 3)) + IntPoly((0, 0, -3))).coeffs == (1, 2)
-
-    def test_shift(self):
-        assert Q.shift(2) == IntPoly((0, 0, 0, 1))
-        assert ZERO.shift(5) == ZERO
-        with pytest.raises(InvalidParameter):
-            ONE.shift(-1)
 
 
 class TestValueSemantics:
@@ -266,49 +260,50 @@ class TestExactDiv:
 
 
 class TestOneMinusQtKernels:
-    """The one-pass kernels against the general multiply and long division."""
+    """The one-pass kernels, applied through mul_ratio's one-factor ratios,
+    against the general multiply and long division."""
 
     def test_pinned(self):
-        assert mul_one_minus_qt(IntPoly((1, 1)), 2) == IntPoly((1, 1, -1, -1))
-        assert div_one_minus_qt(IntPoly((1, 1, -1, -1)), 2) == IntPoly((1, 1))
-        assert mul_one_minus_qt(ZERO, 3) == ZERO
-        assert div_one_minus_qt(ZERO, 3) == ZERO
+        assert mul_ratio(IntPoly((1, 1)), ((2, 1),)) == IntPoly((1, 1, -1, -1))
+        assert mul_ratio(IntPoly((1, 1, -1, -1)), ((2, -1),)) == IntPoly((1, 1))
+        assert mul_ratio(ZERO, ((3, 1),)) == ZERO
+        assert mul_ratio(ZERO, ((3, -1),)) == ZERO
 
     def test_remainder_is_the_long_division_one(self):
         with pytest.raises(NotDivisible) as excinfo:
-            div_one_minus_qt(IntPoly((1, 2, 3, 4, 5)), 2)
+            mul_ratio(IntPoly((1, 2, 3, 4, 5)), ((2, -1),))
         assert excinfo.value.remainder == IntPoly((9, 6))
         with pytest.raises(NotDivisible) as excinfo:
-            div_one_minus_qt(IntPoly((1, 2)), 5)
+            mul_ratio(IntPoly((1, 2)), ((5, -1),))
         assert excinfo.value.remainder == IntPoly((1, 2))
 
     def test_rejects_nonpositive_t(self):
-        for kernel in (mul_one_minus_qt, div_one_minus_qt):
+        for kernel in (imul_one_minus_qt, idiv_one_minus_qt):
             with pytest.raises(InvalidParameter):
-                kernel(ONE, 0)
+                kernel([1], 0)
 
     @given(wide_int_polys, factor_ts)
     def test_mul_matches_general_multiply(self, a, t):
-        assert mul_one_minus_qt(a, t) == a * one_minus_qt(t)
+        assert mul_ratio(a, ((t, 1),)) == a * one_minus_qt(t)
 
     @given(wide_int_polys, factor_ts)
     def test_div_inverts_mul(self, a, t):
         product = a * one_minus_qt(t)
-        assert div_one_minus_qt(product, t) == a == exact_div(product, one_minus_qt(t))
+        assert mul_ratio(product, ((t, -1),)) == a == exact_div(product, one_minus_qt(t))
 
     @given(wide_int_polys, wide_int_polys.filter(bool), factor_ts)
     def test_div_matches_exact_div_on_perturbed_input(self, a, error, t):
         # With a = 0 the dividend is an arbitrary nonzero polynomial.
         dividend = a * one_minus_qt(t) + error
         expected = division_outcome(lambda a, t: exact_div(a, one_minus_qt(t)), dividend, t)
-        assert division_outcome(div_one_minus_qt, dividend, t) == expected
+        assert division_outcome(lambda a, t: mul_ratio(a, ((t, -1),)), dividend, t) == expected
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=70), wide_int_polys),
                     max_size=6))
     def test_sum_shifted_matches_shift_and_add(self, terms):
         expected = ZERO
         for shift, poly in terms:
-            expected = expected + poly.shift(shift)
+            expected = expected + IntPoly((0,) * shift + poly.coeffs)
         assert sum_shifted(terms) == expected
 
     def test_mul_ratio_pinned(self):

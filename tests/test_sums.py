@@ -64,7 +64,7 @@ def thm12_sum_reversed(n, r, j):
         power = ONE
         for _ in range(r):
             power = power * narayana_by_product(2 * n + 1, n + k + 1)
-        term = power.shift(j * k * k + (k * k - k) // 2)
+        term = IntPoly((0,) * (j * k * k + (k * k - k) // 2) + power.coeffs)
         total = total + term if k % 2 == 0 else total - term
     return total
 
@@ -111,7 +111,7 @@ def gjz_sum_long_division(ns, j):
         prod = ONE
         for ni in ns:
             prod = prod * q_binomial(2 * ni, ni + k)
-        term = prod.shift(j * k * k + binom2(k))
+        term = IntPoly((0,) * (j * k * k + binom2(k)) + prod.coeffs)
         total = total - term if k % 2 else total + term
     numerator = q_shifted_factorial(ns[0])
     for i in range(len(ns)):
