@@ -19,12 +19,16 @@ quotients go negative).  Two reach the values that classes of chains
 share: ``verify gjz --m 1..3 --ni-max 4 --j-max 5 --jobs 2 --format csv``
 (a chain and its reverse share each gjz value, at j beyond the claim too)
 and ``verify conj34 --m 3..3 --ni-max 3 --f-suite "0,0,0,1;0,-1,0,0,1"``
-(rotations share their per-k products but not their shifts).  Seven are
+(rotations share their per-k products but not their shifts).  Two reach
+the integer statements where the default grids stop: ``verify thm11 --n
+13..16 --r 1..3 --format jsonl`` (n on both sides of the default grid's
+edge at 14) and ``verify conj31 --m 4..4 --ni-max 3 --format csv`` (chains
+of length 4, longer than the default grid's).  Seven are
 sweeps the option checks refuse, each with its own message: ``verify thm12
 --ns 1``, ``verify conj31 --n 1..2``, ``verify conj31 --j-max 2``, ``verify
 gjz --f-suite 0``, ``verify conj34 --ns 1 --ni-max 3``, ``verify thm12
 --j-max -1`` and ``verify thm12 --n 5..1 --r 1`` (a reversed range).  That
-is 47 commands.
+is 49 commands.
 Each output is compared with its exit code and its stderr; the
 ``# generated:`` line and the jsonl meta line, which hold the timestamp
 and wall time, are removed first.
@@ -62,6 +66,8 @@ COMMANDS = [
     ["verify", "gjz", "--m", "1..3", "--ni-max", "4", "--j-max", "5", "--jobs", "2",
      "--format", "csv"],
     ["verify", "conj34", "--m", "3..3", "--ni-max", "3", "--f-suite", "0,0,0,1;0,-1,0,0,1"],
+    ["verify", "thm11", "--n", "13..16", "--r", "1..3", "--format", "jsonl"],
+    ["verify", "conj31", "--m", "4..4", "--ni-max", "3", "--format", "csv"],
     ["verify", "thm12", "--ns", "1"],
     ["verify", "conj31", "--n", "1..2"],
     ["verify", "conj31", "--j-max", "2"],

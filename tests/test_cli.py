@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qnarayana import cli
+from qnarayana import cli, verify
 from qnarayana.cli import (
     Report,
     SweepSpec,
@@ -26,7 +26,7 @@ from qnarayana.cli import (
     run_sweep,
     summarize,
 )
-from qnarayana.errors import InvalidParameter
+from qnarayana.errors import InvalidParameter, NotDivisible
 from qnarayana.polyarith import IntPoly
 from qnarayana.sums import thm12_sum
 from qnarayana.verify import DEFAULT_F_SUITE, STATEMENTS, CaseSpec, Verdict, outcome, verify_case
@@ -150,6 +150,12 @@ class TestSweepSpecExpansion:
             SweepSpec("thm11", n_range=(0, 2), r_range=(1, 1)).validate()
         with pytest.raises(InvalidParameter):
             SweepSpec("bogus", n_range=(1, 1), r_range=(1, 1)).validate()
+        # Two refusals only a library caller can reach: the parser always
+        # fills a default chain range and parses every f into an IntPoly.
+        with pytest.raises(InvalidParameter, match="conj31 requires --ns or both --m and --ni-max"):
+            SweepSpec("conj31", m_range=(1, 2)).validate()
+        with pytest.raises(InvalidParameter, match="f-suite entries must be IntPoly, got \\(0, 0, 1\\)"):
+            SweepSpec("conj34", ns=(1,), f_suite=((0, 0, 1),)).validate()
 
 
 class TestOutcomes:
@@ -323,6 +329,13 @@ class TestReports:
         assert len(csv_lines) == 2
         for fmt in ("text", "jsonl", "csv"):
             assert emit_report(report, fmt, io.StringIO()) == 1
+
+    def test_unknown_format_is_refused(self):
+        report = run_sweep(SweepSpec("thm12", n_range=(1, 1), r_range=(1, 1)))
+        stream = io.StringIO()
+        with pytest.raises(InvalidParameter, match="unknown format 'xml'"):
+            emit_report(report, "xml", stream)
+        assert stream.getvalue() == ""
 
     def test_empty_sweep_is_valid(self):
         # validate refuses every sweep that expands to nothing, so only a
@@ -648,6 +661,25 @@ class TestCommandLine:
         assert captured.out == ""
         assert captured.err == "qnarayana: internal error: boom\n"
         assert "Traceback" not in captured.err
+
+    def test_falsified_proof_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "check_divisibility", lambda poly, modulus: None)
+        assert main(["proof", "--n", "1", "--r", "2", "--j", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "qnarayana: proof falsified: sum is not divisible by the modulus at n=1, r=2, j=0\n"
+        )
+
+    def test_sum_that_is_no_polynomial_exits_one(self, monkeypatch, capsys):
+        def fractional(ns, j):
+            raise NotDivisible("remainder q")
+
+        monkeypatch.setattr(cli, "gjz_sum", fractional)
+        assert main(["sum", "gjz", "--ns", "1,1", "--j", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qnarayana: not a polynomial: remainder q\n"
 
     def test_invalid_parameter_exits_one(self, capsys):
         assert main(["qcatalan", "0"]) == 1

@@ -53,7 +53,7 @@ def test_pyproject_states_the_package_version():
 def test_byte_identity_commands_parse():
     # A renamed option would fail the same way in both checkouts and read as
     # "same"; parsing each command here catches that.
-    assert len(byte_identity.COMMANDS) == 47
+    assert len(byte_identity.COMMANDS) == 49
     parser = build_parser()
     for args in byte_identity.COMMANDS:
         parser.parse_args(args)

@@ -14,9 +14,15 @@ import qnarayana
 from qnarayana import cli, polyarith, qobjects, sums, verify
 from qnarayana.cli import main
 from qnarayana.errors import InvalidParameter, NotDivisible, ProofError
-from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, exact_div, factor_ratio, ratio_poly
-from qnarayana.qobjects import q_binomial, q_integer
-from qnarayana.sums import NormalizedSum, cyclic_modulus, cyclic_modulus_factors, cyclic_sum
+from qnarayana.polyarith import ONE, Q, ZERO, IntPoly, eval_int, exact_div, factor_ratio, ratio_poly
+from qnarayana.qobjects import catalan_factors, q_binomial, q_integer
+from qnarayana.sums import (
+    NormalizedSum,
+    cyclic_modulus,
+    cyclic_modulus_factors,
+    cyclic_sum,
+    thm12_sum,
+)
 from qnarayana.verify import (
     STATEMENTS,
     CaseSpec,
@@ -205,13 +211,18 @@ def test_class_caches_hold_one_entry():
         assert fn.cache_info().maxsize == 1, fn.__name__
 
 
+def default_sweep(statement):
+    """The SweepSpec of a statement's default verify sweep."""
+    defaults = STATEMENTS[statement]
+    return cli.SweepSpec(statement, f_suite=defaults.f_suite, **defaults.ranges)
+
+
 @pytest.mark.parametrize("statement", ["gjz", "conj31", "conj33", "conj34"])
 def test_evaluation_order_does_not_change_results(statement):
     """A default chain sweep, evaluated in its statement's order with the
     class caches shared between cases, gives each case the pair that
     evaluate_case gives it in expansion order with every cache cleared."""
-    defaults = STATEMENTS[statement]
-    spec = cli.SweepSpec(statement, f_suite=defaults.f_suite, **defaults.ranges)
+    spec = default_sweep(statement)
     caches, expected = package_caches(), []
     for case in spec.expand():
         for fn in caches:
@@ -265,6 +276,55 @@ class TestNoLongDivision:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, guarded)
         assert self.run(capsys) == expected
+
+
+class TestIntegerRouteOracle:
+    """thm11 and conj31 are decided in plain integers.  Their oracle is the
+    polynomial pipeline at q = 1: the sum and the modulus it builds evaluate
+    there to the integers the statements divide, so they decide the same
+    verdict."""
+
+    @staticmethod
+    def q1_verdict(case, poly, modulus):
+        total, divisor = eval_int(poly, 1), eval_int(modulus, 1)
+        quotient = IntPoly((total // divisor,)) if total % divisor == 0 else None
+        return Verdict(case, 0 if total else -1, 0, quotient)
+
+    def test_thm11_matches_the_polynomial_route(self):
+        # The default grid, and a band of n past it.
+        cases = default_sweep("thm11").expand()
+        cases += [CaseSpec("thm11", n=n, r=r) for n in (15, 16) for r in (1, 2)]
+        assert len(cases) == 14 * 4 + 2 * 2
+        for case in cases:
+            modulus = ratio_poly(catalan_factors(case.n))
+            assert verify_case(case) == self.q1_verdict(case, thm12_sum(case.n, case.r, 0), modulus)
+
+    def test_conj31_matches_the_polynomial_route(self):
+        cases = default_sweep("conj31").expand()
+        assert len(cases) == 6 + 6**2 + 6**3
+        for case in cases:
+            poly = cyclic_sum(case.ns, IntPoly(())).poly
+            assert verify_case(case) == self.q1_verdict(case, poly, cyclic_modulus(case.ns))
+
+    def test_integer_sweeps_build_no_polynomial(self, monkeypatch, capsys):
+        """With every polynomial sum and modulus builder made to raise, the
+        default thm11 and conj31 sweeps print the same reports and exit with
+        the same codes."""
+
+        def sweeps():
+            runs = []
+            for statement in ("thm11", "conj31"):
+                code = main(["verify", statement, "--jobs", "1", "--format", "csv"])
+                runs.append((code, capsys.readouterr().out))
+            return runs
+
+        def forbidden(*args):
+            raise AssertionError("an integer statement built a polynomial")
+
+        expected = sweeps()
+        for name in ("thm12_sum", "cyclic_sum", "cyclic_modulus", "ratio_poly"):
+            monkeypatch.setattr(verify, name, forbidden)
+        assert sweeps() == expected
 
 
 class TestCaseSpec:
@@ -378,6 +438,15 @@ class TestVerifyCase:
                     cyc_quotient = exact_div(cyc.poly, cyclic_modulus((n,) * r))
                     assert verdict.divisible
                     assert verdict.quotient == cyc_quotient
+
+    def test_thm12_and_conj33_share_the_quotient_on_the_default_grid(self):
+        # cyclic_sum((n,)*r, j*k^2) is [2n+1]^r times thm12_sum(n, r, j), and
+        # the conj33 modulus is the thm12 one times [2n+1]^r.
+        for case in default_sweep("thm12").expand():
+            power = verify_case(case)
+            chain = verify_case(CaseSpec("conj33", ns=(case.n,) * case.r, j=case.j))
+            assert chain.quotient == power.quotient, case
+            assert chain.sum_degree == power.sum_degree + 2 * case.n * case.r, case
 
 
 class TestReplayProof:
