@@ -23,12 +23,16 @@ and ``verify conj34 --m 3..3 --ni-max 3 --f-suite "0,0,0,1;0,-1,0,0,1"``
 the integer statements where the default grids stop: ``verify thm11 --n
 13..16 --r 1..3 --format jsonl`` (n on both sides of the default grid's
 edge at 14) and ``verify conj31 --m 4..4 --ni-max 3 --format csv`` (chains
-of length 4, longer than the default grid's).  Seven are
-sweeps the option checks refuse, each with its own message: ``verify thm12
---ns 1``, ``verify conj31 --n 1..2``, ``verify conj31 --j-max 2``, ``verify
-gjz --f-suite 0``, ``verify conj34 --ns 1 --ni-max 3``, ``verify thm12
---j-max -1`` and ``verify thm12 --n 5..1 --r 1`` (a reversed range).  That
-is 49 commands.
+of length 4, longer than the default grid's).  Three reach paths no
+default sweep takes: ``sum thm12 --n 16 --r 2 --j 3`` (a q-Narayana row
+stepped twice per entry, past the default grid), ``qbinom 100 52`` (the
+Gaussian-binomial table's reflection to k = 48) and ``verify conj33 --ns
+2,3,1 --format jsonl`` (an explicit chain, echoed and expanded as given).
+Seven are sweeps the option checks refuse, each with its own message:
+``verify thm12 --ns 1``, ``verify conj31 --n 1..2``, ``verify conj31
+--j-max 2``, ``verify gjz --f-suite 0``, ``verify conj34 --ns 1 --ni-max
+3``, ``verify thm12 --j-max -1`` and ``verify thm12 --n 5..1 --r 1`` (a
+reversed range).  That is 52 commands.
 Each output is compared with its exit code and its stderr; the
 ``# generated:`` line and the jsonl meta line, which hold the timestamp
 and wall time, are removed first.
@@ -68,6 +72,9 @@ COMMANDS = [
     ["verify", "conj34", "--m", "3..3", "--ni-max", "3", "--f-suite", "0,0,0,1;0,-1,0,0,1"],
     ["verify", "thm11", "--n", "13..16", "--r", "1..3", "--format", "jsonl"],
     ["verify", "conj31", "--m", "4..4", "--ni-max", "3", "--format", "csv"],
+    ["sum", "thm12", "--n", "16", "--r", "2", "--j", "3"],
+    ["qbinom", "100", "52"],
+    ["verify", "conj33", "--ns", "2,3,1", "--format", "jsonl"],
     ["verify", "thm12", "--ns", "1"],
     ["verify", "conj31", "--n", "1..2"],
     ["verify", "conj31", "--j-max", "2"],

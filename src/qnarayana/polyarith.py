@@ -43,8 +43,8 @@ The public ``IntPoly(...)`` constructor checks that every coefficient is an
 int.  Results of this module's own arithmetic (``+``, ``-``, ``*``,
 ``divmod_poly``, ``exact_div`` and the kernels above) are built by a trusted
 internal constructor that only trims: it may be given only ints produced by
-that arithmetic, which ``qobjects`` also uses for the lists its own chains
-of in-place kernels build.
+that arithmetic.  No other module uses the kernels or this constructor;
+they build through ``mul_ratio``, ``sum_shifted`` and the operators above.
 """
 
 from functools import cache

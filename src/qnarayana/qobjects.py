@@ -6,40 +6,34 @@ factorials, Gaussian binomials, q-Narayana polynomials, and q-Catalan
 polynomials.  The classical integers themselves are computed separately over
 plain integers so the two routes can cross-check each other.
 
-Every object here is a ratio of factors (1 - q^t), and is built one factor
-at a time on one coefficient list with the in-place kernels
-``imul_one_minus_qt`` and ``idiv_one_minus_qt``.  Gaussian binomials use
-the product formula
+Every object here is a ratio of factors (1 - q^t), built through
+``polyarith.mul_ratio``, the one owner of coefficient lists.  The factors
+are defined here once: ``binomial_factors`` gives a product of Gaussian
+binomials as such a ratio, and ``binomial_step`` the ratio of neighbours
+qbinom(a, b) / qbinom(a, b-1) = (1 - q^(a-b+1)) / (1 - q^b); ``sums``
+builds its chain terms and cyclic moduli from them, and ``catalan_factors``
+the q-Catalan modulus.  Gaussian binomials use the product formula
 
     qbinom(n, k) = prod_{t=1..k} (1 - q^(n-k+t)) / (1 - q^t),  k <= n - k,
 
-whose partial product after step t is exactly qbinom(n-k+t, t), an integer
-polynomial, so every division is exact and a NotDivisible would be a bug.
-``narayana_powers`` steps a q-Narayana row by the ratio of neighbours, exact
-by the same argument.  Both take memory linear in the degree and no
-recursion; Pascal's recurrence, the q-shifted-factorial quotient and
-qbinom(n, k) * qbinom(n, k-1) / [n] are test oracles.  The Gaussian-binomial
-table is the one cache here.  No sweep reads it, as ``sums`` builds each
-chain term from its factors; it serves single values (``qbinom``,
-``qcatalan``) and library callers.  It holds only immutable values, so
-every caller can share an entry.
+one mul_ratio per t, whose partial product after step t is exactly
+qbinom(n-k+t, t), an integer polynomial, so every division is exact and a
+NotDivisible would be a bug.  ``narayana_powers`` steps a q-Narayana row by
+binomial_step, exact by the same argument.  Both take memory linear in the
+degree and no recursion; Pascal's recurrence, the q-shifted-factorial
+quotient and qbinom(n, k) * qbinom(n, k-1) / [n] are test oracles.  The
+Gaussian-binomial table is the one cache here.  No sweep reads it, as
+``sums`` builds each chain term from its factors; it serves single values
+(``qbinom``, ``qcatalan``) and library callers.  It holds only immutable
+values, so every caller can share an entry.
 """
 
-from functools import cache
+from functools import cache, reduce
 from itertools import islice
 from math import comb
 
 from .errors import InvalidParameter
-from .polyarith import (
-    ONE,
-    ZERO,
-    IntPoly,
-    _trusted,
-    idiv_one_minus_qt,
-    imul_one_minus_qt,
-    is_nonneg,
-    mul_ratio,
-)
+from .polyarith import ONE, ZERO, IntPoly, factor_ratio, is_nonneg, mul_ratio
 
 
 def q_integer(n):
@@ -71,11 +65,22 @@ def q_binomial(n, k):
 
 @cache
 def _qbinom(n, k):
-    c = [1]
-    for t in range(1, k + 1):
-        imul_one_minus_qt(c, n - k + t)
-        idiv_one_minus_qt(c, t)
-    return _trusted(c)
+    return reduce(mul_ratio, (((t, -1), (n - k + t, 1)) for t in range(1, k + 1)), ONE)
+
+
+def binomial_factors(pairs):
+    """The product of qbinom(a, b) over a list of pairs (a, b), 0 <= b <= a,
+    as a factor_ratio value: qbinom(a, b) is the product over 1 <= t <= b of
+    (1 - q^(a-b+t)) / (1 - q^t)."""
+    return factor_ratio([*((t, 1) for a, b in pairs for t in range(a - b + 1, a + 1)),
+                         *((t, -1) for _, b in pairs for t in range(1, b + 1))])
+
+
+def binomial_step(pairs):
+    """The product of qbinom(a, b) / qbinom(a, b-1) = (1 - q^(a-b+1)) /
+    (1 - q^b) over a list of pairs (a, b), 1 <= b <= a, as a factor_ratio
+    value."""
+    return factor_ratio(p for a, b in pairs for p in ((a - b + 1, 1), (b, -1)))
 
 
 def q_narayana(n, k):
@@ -91,24 +96,18 @@ def q_narayana(n, k):
 
 def narayana_powers(n, r):
     """q_narayana(n, i)**r for i = 1, ..., n, from q_narayana(n, 1) = 1 by
-    r steps per i of the ratio of neighbours (1 - q^(n-i))(1 - q^(n-i+1)) /
-    ((1 - q^i)(1 - q^(i+1))), its common factors cancelled.  After s steps
-    the power is q_narayana(n, i)**(r-s) * q_narayana(n, i+1)**s, so each
-    division is exact; each power is asserted nonnegative, never assumed.
-    One factor is applied at a time, in place on one coefficient list, which
-    becomes a polynomial as each power is yielded."""
-    c = list(q_narayana(n, 1).coeffs)
+    r steps per i of the ratio of neighbours, the binomial_step of (n, i)
+    and (n, i+1): (1 - q^(n-i))(1 - q^(n-i+1)) / ((1 - q^i)(1 - q^(i+1))).
+    After s steps the power is q_narayana(n, i)**(r-s) *
+    q_narayana(n, i+1)**s, so each division is exact; each power is
+    asserted nonnegative, never assumed."""
+    power = q_narayana(n, 1)
     for i in range(1, n + 1):
-        power = _trusted(c)
         if not is_nonneg(power):
             raise ArithmeticError(f"q_narayana({n}, {i}) has a negative coefficient")
         yield power
-        above, below = {n - i, n - i + 1}, {i, i + 1}
         for _ in range(r if i < n else 0):
-            for t in above - below:
-                imul_one_minus_qt(c, t)
-            for t in below - above:
-                idiv_one_minus_qt(c, t)
+            power = mul_ratio(power, binomial_step([(n, i), (n, i + 1)]))
 
 
 def q_catalan(n):
@@ -124,11 +123,10 @@ def q_catalan(n):
 
 def catalan_factors(n):
     """q_catalan(n) as a ratio of factors (1 - q^t), a factor_ratio value:
-    qbinom(2n, n) / [n+1] is the product of (1 - q^t) over n+2 <= t <= 2n
-    divided by the product over 2 <= t <= n, once (1 - q^(n+1)) and (1 - q)
-    cancel.  The modulus thm12 and conj32 divide by; q_catalan builds the
-    same polynomial faster."""
-    return tuple((t, -1 if t <= n else 1) for t in range(2, 2 * n + 1) if t != n + 1)
+    the binomial_factors of qbinom(2n, n) times (1 - q) / (1 - q^(n+1)).
+    The modulus thm12 and conj32 divide by; q_catalan builds the same
+    polynomial faster."""
+    return factor_ratio([*binomial_factors([(2 * n, n)]), (1, 1), (n + 1, -1)])
 
 
 def narayana_int(n, k):

@@ -14,9 +14,10 @@ integer for every integer k (k = -1 gives 1).  Three families are provided:
   chain (last index pairs with 0), times a q-shifted-factorial prefactor.
 
 No sum multiplies two polynomials: every term is built one factor (1 - q^t)
-at a time.  ``_binomial_factors`` is the one definition of a product of
-Gaussian binomials as such factors.  A chain family gives only its pairs
-(a, b) for each k, and ``_chain_terms`` derives its terms from them.
+at a time.  ``qobjects.binomial_factors`` is the one definition of a product
+of Gaussian binomials as such factors, and ``qobjects.binomial_step`` of the
+ratio of neighbours.  A chain family gives only its pairs (a, b) for each k,
+and ``_chain_terms`` derives its terms from them.
 
 A value is cached only where a sweep reads it twice, in a one-entry cache
 keyed by the class of cases that share it: the r-th powers of the
@@ -43,7 +44,7 @@ from itertools import islice
 
 from .errors import InvalidParameter
 from .polyarith import ONE, eval_int, factor_ratio, mul_ratio, ratio_poly, sum_shifted
-from .qobjects import narayana_powers
+from .qobjects import binomial_factors, binomial_step, narayana_powers
 
 
 def binom2(k):
@@ -103,31 +104,18 @@ def thm12_sum(n, r, j):
     return sum_shifted((j * k * k + binom2(k), row[abs(k)]) for k in range(-n, n + 1))
 
 
-def _binomial_factors(pairs):
-    """The product of qbinom(a, b) over a list of pairs (a, b), 0 <= b <= a,
-    as a factor_ratio value: qbinom(a, b) is the product over 1 <= t <= b of
-    (1 - q^(a-b+t)) / (1 - q^t)."""
-    return factor_ratio([*((t, 1) for a, b in pairs for t in range(a - b + 1, a + 1)),
-                         *((t, -1) for _, b in pairs for t in range(1, b + 1))])
-
-
 def _chain_terms(n1, pairs):
     """(k, (-1)^k * the product of qbinom(a, b) over pairs(k)) for each k in
     -n1..n1 where every 0 <= b <= a, an interval as each b rises by one with
-    k.  The first term is ONE times the _binomial_factors of all its pairs.
+    k.  The first term is ONE times the binomial_factors of all its pairs.
     Along k every a is fixed and every b rises by one, so each later term is
-    the one before times the product over its pairs of qbinom(a, b) /
-    qbinom(a, b-1) = (1 - q^(a-b+1)) / (1 - q^b).  Both are one mul_ratio
-    on the running product."""
+    the one before times the binomial_step of its pairs.  Both are one
+    mul_ratio on the running product."""
     terms, prod = [], ONE
     for k in range(-n1, n1 + 1):
         factors = pairs(k)
         if all(0 <= b <= a for a, b in factors):
-            if terms:
-                ratio = factor_ratio(p for a, b in factors for p in ((a - b + 1, 1), (b, -1)))
-            else:
-                ratio = _binomial_factors(factors)
-            prod = mul_ratio(prod, ratio)
+            prod = mul_ratio(prod, binomial_step(factors) if terms else binomial_factors(factors))
             terms.append((k, -prod if k % 2 else prod))
     return tuple(terms)
 
@@ -179,7 +167,7 @@ def cyclic_modulus_factors(ns):
     qbinom(m, 1)."""
     ns = validated_ns(ns)
     pairs = [(ns[0] + ns[-1] + 1, ns[0]), *((a + b + 1, 1) for a, b in zip(ns, ns[1:]))]
-    return _binomial_factors(pairs)
+    return binomial_factors(pairs)
 
 
 def _multiset(ns):

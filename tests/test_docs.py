@@ -1,7 +1,8 @@
 """The README's Library example runs as written, its command lines parse,
 the package root exports nothing but its version, which pyproject.toml
-states again, every command of the standing byte-identity set parses, and
-every public module-level name of the package is used in it."""
+states again, every command of the standing byte-identity set parses,
+every public module-level name of the package is used in it, and only
+polyarith touches a coefficient list through its kernels."""
 
 import ast
 import importlib.util
@@ -53,7 +54,7 @@ def test_pyproject_states_the_package_version():
 def test_byte_identity_commands_parse():
     # A renamed option would fail the same way in both checkouts and read as
     # "same"; parsing each command here catches that.
-    assert len(byte_identity.COMMANDS) == 49
+    assert len(byte_identity.COMMANDS) == 52
     parser = build_parser()
     for args in byte_identity.COMMANDS:
         parser.parse_args(args)
@@ -99,3 +100,21 @@ def test_every_public_module_name_is_used():
                 if not name.startswith("_") and references.count(name) == own.count(name):
                     unused.add(name)
     assert unused == set(UNUSED_BUT_KEPT)
+
+
+COEFFICIENT_LIST_NAMES = {"_trusted", "imul_one_minus_qt", "idiv_one_minus_qt"}
+
+
+def test_only_polyarith_touches_coefficient_lists():
+    """The in-place kernels and the trusted constructor build coefficient
+    lists; every other module builds through mul_ratio, so no other module
+    imports or reads them."""
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [*_references(tree), *(a.name for n in ast.walk(tree)
+                                        if isinstance(n, ast.ImportFrom) for a in n.names)]
+        used = COEFFICIENT_LIST_NAMES.intersection(names)
+        if used and path.name != "polyarith.py":
+            offenders[path.name] = sorted(used)
+    assert offenders == {}

@@ -21,6 +21,8 @@ from qnarayana.polyarith import (
 )
 from qnarayana.qobjects import (
     _qbinom,
+    binomial_factors,
+    binomial_step,
     catalan_factors,
     catalan_int,
     narayana_int,
@@ -167,6 +169,21 @@ class TestQBinomial:
             for k in range(n + 1):
                 assert eval_int(q_binomial(n, k), 1) == comb(n, k)
 
+    def test_steps_compose_to_the_factors(self):
+        # The product of the neighbour ratios qbinom(a, b') / qbinom(a, b'-1)
+        # over b' = 1..b is qbinom(a, b), whose polynomial Pascal's
+        # recurrence gives independently.
+        pascal = {(0, 0): ONE}
+        for a in range(1, 21):
+            for b in range(a + 1):
+                shifted = IntPoly((0,) * b + pascal.get((a - 1, b), ZERO).coeffs)
+                pascal[a, b] = pascal.get((a - 1, b - 1), ZERO) + shifted
+        for a in range(21):
+            for b in range(a + 1):
+                steps = factor_ratio(p for s in range(1, b + 1) for p in binomial_step([(a, s)]))
+                assert steps == binomial_factors([(a, b)]), (a, b)
+                assert mul_ratio(ONE, steps) == pascal[a, b], (a, b)
+
 
 class TestQNarayana:
     def test_pinned(self):
@@ -241,6 +258,13 @@ class TestQCatalan:
         assert catalan_factors(3) == ((2, -1), (3, -1), (5, 1), (6, 1))
         for n in range(1, 31):
             assert mul_ratio(ONE, catalan_factors(n)) == q_catalan(n), n
+
+    def test_factors_match_the_hand_cancelled_ratio(self):
+        # Independent route: (1 - q^t) over n+2 <= t <= 2n divided by the
+        # product over 2 <= t <= n, (1 - q^(n+1)) and (1 - q) cancelled by hand.
+        for n in range(1, 41):
+            expected = tuple((t, -1 if t <= n else 1) for t in range(2, 2 * n + 1) if t != n + 1)
+            assert catalan_factors(n) == expected, n
 
 
 class TestClassicalIntegers:
